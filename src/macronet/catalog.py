@@ -12,6 +12,7 @@ enumeration; other matchups are a data file away.
 from __future__ import annotations
 
 import enum
+import functools
 import hashlib
 import io
 from dataclasses import dataclass, field
@@ -143,6 +144,11 @@ class BuildCatalog:
 
     def content_hash(self) -> str:
         """Hash of the canonical serialization; stable across loads."""
+        return self._content_hash
+
+    @functools.cached_property
+    def _content_hash(self) -> str:
+        # Serialized on first use only: the catalog never changes.
         buf = io.BytesIO()
         write_catalog(self, buf)
         return hashlib.sha256(buf.getvalue()).hexdigest()[:16]

@@ -102,17 +102,21 @@ def cmd_extract(args) -> int:
     paths = sorted(events_dir.glob(f"*{EVENT_FILE_SUFFIX}"))
     if not paths:
         raise MacronetError(f"no {EVENT_FILE_SUFFIX} files in {events_dir}")
-    logs, rejections = [], []
+    games, rejections = [], []
     for path in paths:
         try:
             with open(path, "r", encoding="utf-8") as f:
                 log = parse_event_log(f, catalog)
-            extract_pairs(log, catalog)
+            pairs = extract_pairs(log, catalog)
         except MacronetError as e:
             rejections.append((path.name, f"{type(e).__name__}: {e}"))
             continue
-        logs.append(log)
-    dataset = encoding.build_dataset(logs, catalog, norms)
+        games.append(encoding.game_record(log.game_id, pairs, catalog, norms))
+    dataset = encoding.Dataset(
+        games=tuple(games),
+        catalog_hash=catalog.content_hash(),
+        norms_hash=norms.content_hash(),
+    )
     with open(args.out, "wb") as f:
         encoding.write_dataset(dataset, f)
     lines = [

@@ -201,8 +201,15 @@ def load_default_norms(catalog: BuildCatalog) -> NormalizationTable:
 # ---------------------------------------------------------------------------
 
 
-def encode(state: MacroState, catalog: BuildCatalog, norms: NormalizationTable) -> np.ndarray:
-    """Vectorize one macro state. Deterministic; output in [0, 1]^210."""
+def encode(state, catalog: BuildCatalog, norms: NormalizationTable) -> np.ndarray:
+    """Vectorize one macro state into a (210,) vector, or a sequence of
+    states (one game's decision states) into an (n, 210) matrix whose row i
+    equals ``encode(state[i])`` bit for bit. Deterministic; output in [0, 1].
+
+    Over-cap features are logged the same way on both paths: once per
+    feature, with the value from the first state that exceeds the cap."""
+    if not isinstance(state, MacroState):
+        return _encode_rows(state, catalog, norms)
     v = np.zeros(N_FEATURES, dtype=np.float64)
     own = state.own_count / norms.own_caps
     in_prod = state.in_production_count() / norms.own_caps
@@ -222,6 +229,59 @@ def encode(state: MacroState, catalog: BuildCatalog, norms: NormalizationTable) 
     v[207] = min(1.0, state.supply_used / cap)
     v[208] = min(1.0, state.supply_max / cap)
     v[209] = min(1.0, max(0.0, state.supply_left / cap))
+    return v
+
+
+def _encode_rows(states, catalog: BuildCatalog, norms: NormalizationTable) -> np.ndarray:
+    """The sequence form of encode: the same arithmetic in the same order,
+    one array operation per feature block instead of one call per state."""
+    n = len(states)
+    v = np.zeros((n, N_FEATURES), dtype=np.float64)
+    if n == 0:
+        return v
+    frame = np.array([s.frame for s in states], dtype=np.int64)
+    used = np.array([s.supply_used for s in states], dtype=np.int64)
+    supply_max = np.array([s.supply_max for s in states], dtype=np.int64)
+    # Every production entry as a flat cell index row * 58 + build_id.
+    per_row = [len(s.production) for s in states]
+    entries = np.array(
+        [entry for s in states for entry in s.production], dtype=np.int64
+    ).reshape(-1, 2)
+    cell = np.repeat(np.arange(n), per_row) * N_OWN_BUILDS + entries[:, 0]
+    in_prod_count = np.bincount(cell, minlength=n * N_OWN_BUILDS).reshape(n, N_OWN_BUILDS)
+    soonest = np.full(n * N_OWN_BUILDS, np.iinfo(np.int64).max, dtype=np.int64)
+    np.minimum.at(soonest, cell, entries[:, 1])
+
+    own = np.stack([s.own_count for s in states]) / norms.own_caps
+    in_prod = in_prod_count / norms.own_caps
+    enemy = np.stack([s.enemy_count for s in states]) / norms.enemy_caps
+    over = []
+    for offset, block in ((0, own), (58, in_prod), (174, enemy)):
+        hit = block > 1.0
+        columns = np.flatnonzero(hit.any(axis=0))
+        for row, column in zip(hit[:, columns].argmax(axis=0), columns):
+            over.append((int(row), offset + int(column), float(block[row, column])))
+    cap = norms.supply_cap
+    for offset, raw in ((207, used), (208, supply_max)):
+        hit = raw > cap
+        if hit.any():
+            row = int(hit.argmax())
+            over.append((row, offset, int(raw[row])))
+    # The per-state path warns row by row, in feature order within a row.
+    for _, feature, value in sorted(over):
+        norms._warn_clamp(feature, value)
+
+    v[:, OWN_SLICE] = np.clip(own, 0.0, 1.0)
+    v[:, IN_PRODUCTION_SLICE] = np.clip(in_prod, 0.0, 1.0)
+    busy = np.flatnonzero(in_prod_count)
+    busy_row, busy_id = np.divmod(busy, N_OWN_BUILDS)
+    build_frames = np.array([b.build_frames for b in catalog.builds], dtype=np.int64)
+    progress = 1.0 - (soonest[busy] - frame[busy_row]) / build_frames[busy_id]
+    v[busy_row, PROGRESS_SLICE.start + busy_id] = np.minimum(1.0, np.maximum(0.0, progress))
+    v[:, ENEMY_SLICE] = np.clip(enemy, 0.0, 1.0)
+    v[:, 207] = np.minimum(1.0, used / cap)
+    v[:, 208] = np.minimum(1.0, supply_max / cap)
+    v[:, 209] = np.minimum(1.0, np.maximum(0.0, (supply_max - used) / cap))
     return v
 
 
@@ -358,19 +418,24 @@ class Dataset:
         return X, y
 
 
+def game_record(game_id: str, pairs, catalog: BuildCatalog, norms: NormalizationTable) -> GameRecord:
+    """One game's record from its replayed state-action pairs, encoded with
+    one sequence-form encode call."""
+    return GameRecord(
+        game_id=game_id,
+        vectors=encode([pair.state for pair in pairs], catalog, norms),
+        actions=np.array([pair.action for pair in pairs], dtype=np.int64),
+    )
+
+
 def build_dataset(logs, catalog: BuildCatalog, norms: NormalizationTable) -> Dataset:
-    """Extract and encode a corpus of event logs, preserving game order."""
-    games = []
-    for log in logs:
-        pairs = extract_pairs(log, catalog)
-        vectors = np.zeros((len(pairs), N_FEATURES), dtype=np.float64)
-        actions = np.zeros(len(pairs), dtype=np.int64)
-        for i, pair in enumerate(pairs):
-            vectors[i] = encode(pair.state, catalog, norms)
-            actions[i] = pair.action
-        games.append(GameRecord(game_id=log.game_id, vectors=vectors, actions=actions))
+    """Extract and encode a corpus of event logs, preserving game order.
+    Each log is replayed once and each game encoded in one call."""
     return Dataset(
-        games=tuple(games),
+        games=tuple(
+            game_record(log.game_id, extract_pairs(log, catalog), catalog, norms)
+            for log in logs
+        ),
         catalog_hash=catalog.content_hash(),
         norms_hash=norms.content_hash(),
     )

@@ -154,6 +154,13 @@ def decide(
 
     Refuses to run a model against a catalog or normalization table other
     than the ones it was trained with."""
+    check_compatibility(net, catalog, norms)
+    return decide_from_vector(net, encode(state, catalog, norms), policy, rng)
+
+
+def check_compatibility(net: Network, catalog: BuildCatalog, norms: NormalizationTable) -> None:
+    """Raise CompatibilityError unless the model was trained with this
+    catalog and normalization table (a model that records no hash passes)."""
     if net.meta.catalog_hash and net.meta.catalog_hash != catalog.content_hash():
         raise CompatibilityError(
             "model was trained with a different catalog "
@@ -164,4 +171,3 @@ def decide(
             "model was trained with a different normalization table "
             f"({net.meta.norms_hash} != {norms.content_hash()})"
         )
-    return decide_from_vector(net, encode(state, catalog, norms), policy, rng)

@@ -22,6 +22,7 @@ connection id) so sampled decisions are reproducible from logs.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import json
 import socket
@@ -36,13 +37,12 @@ from .catalog import BuildCatalog
 from .encoding import N_FEATURES, NormalizationTable, encode
 from .errors import (
     ClientTimeout,
-    CompatibilityError,
     DegenerateDistributionError,
     ProtocolError,
 )
 from .forward import MacroState
 from .net import Network
-from .policy import DecisionPolicy, Mode, decide_from_vector
+from .policy import DecisionPolicy, Mode, check_compatibility, decide_from_vector
 
 MAX_MESSAGE_BYTES = 1 << 20
 DEFAULT_TIMEOUT = 0.1
@@ -220,12 +220,7 @@ class PredictionServer(socketserver.ThreadingTCPServer):
         address: tuple[str, int] = ("127.0.0.1", 0),
         seed: int = 0,
     ):
-        if net.meta.catalog_hash and net.meta.catalog_hash != catalog.content_hash():
-            raise CompatibilityError("model was trained with a different catalog")
-        if net.meta.norms_hash and net.meta.norms_hash != norms.content_hash():
-            raise CompatibilityError(
-                "model was trained with a different normalization table"
-            )
+        check_compatibility(net, catalog, norms)
         self.net = net
         self.catalog = catalog
         self.norms = norms
@@ -328,12 +323,21 @@ class PredictionClient:
         self._sock.settimeout(timeout)
         self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self._stream = self._sock.makefile("rwb")
+        self._timed_out = False
 
     def predict(self, request: dict) -> dict:
+        """One request, one response. After a timeout the connection is
+        closed (a late reply would answer the wrong request), and every
+        later call raises ProtocolError."""
+        if self._timed_out:
+            raise ProtocolError("connection closed after a timeout")
         try:
             write_frame(self._stream, json.dumps(request).encode("utf-8"))
             payload = read_frame(self._stream)
         except socket.timeout as e:
+            self._timed_out = True
+            with contextlib.suppress(OSError):
+                self.close()
             raise ClientTimeout(f"no response within {self.timeout}s") from e
         if payload is None:
             raise ProtocolError("server closed the connection")

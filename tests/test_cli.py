@@ -1,10 +1,13 @@
+import collections
 import csv
+import hashlib
 import io
 import json
 from pathlib import Path
 
 import pytest
 
+from macronet import cli, encoding
 from macronet.cli import EXPANSION_CSV_HEADER, expansion_curve, main
 from macronet.encoding import read_dataset
 from macronet.net import load_model
@@ -321,6 +324,73 @@ def test_extract_reports_rejected_files(pipeline, tmp_path, capsys):
     assert "rejected: 1" in shown
     with open(out, "rb") as f:
         assert len(read_dataset(f).games) == 3
+
+
+# A 25-game reactive corpus (seed 5), which clamps supply features, plus one
+# log that fails to parse and one that fails in replay. The digest and report
+# were recorded from the per-pair encoder; extraction must reproduce both.
+PINNED_DATASET_SHA256 = "d514c6a7ab35e6055fa37ed110f94ea6ff7343775224ff833bf5376a6ccaee62"
+PINNED_REJECTIONS = [
+    {
+        "file": "broken.events",
+        "reason": "ValidationError: line 2: 'marauder' is not an own build "
+        "(off-race production; log rejected)",
+    },
+    {
+        "file": "onetime.events",
+        "reason": "ConsistencyError: frame 20: 'ground_weapons' is a one-time build "
+        "and is already owned or in production",
+    },
+]
+
+
+@pytest.fixture(scope="module")
+def pinned_events(tmp_path_factory):
+    events = tmp_path_factory.mktemp("pinned") / "events"
+    argv = ["synth", "--generator", "reactive", "--games", "25", "--seed", "5"]
+    assert main(argv + ["--out", str(events)]) == 0
+    (events / "broken.events").write_text("game broken\n100 produced marauder\n")
+    (events / "onetime.events").write_text(
+        "game onetime\n10 produced ground_weapons\n20 produced ground_weapons\n"
+    )
+    return events
+
+
+def test_extract_dataset_bytes_are_pinned(pinned_events, tmp_path, capsys):
+    out = tmp_path / "pinned.mnds"
+    capsys.readouterr()
+    assert main(["extract", "--events", str(pinned_events), "--out", str(out), "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report == {
+        "games": 25,
+        "pairs": 2044,
+        "rejections": PINNED_REJECTIONS,
+        "out": str(out),
+    }
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == PINNED_DATASET_SHA256
+
+
+def test_extract_replays_each_log_once(pinned_events, tmp_path, monkeypatch):
+    replayed = collections.Counter()
+
+    def counting(module):
+        original = module.extract_pairs
+
+        def extract_pairs(log, catalog):
+            replayed[log.game_id] += 1
+            return original(log, catalog)
+
+        monkeypatch.setattr(module, "extract_pairs", extract_pairs)
+
+    for module in (cli, encoding):
+        counting(module)
+    out = tmp_path / "once.mnds"
+    assert main(["extract", "--events", str(pinned_events), "--out", str(out)]) == 0
+    with open(out, "rb") as f:
+        accepted = [g.game_id for g in read_dataset(f).games]
+    assert len(accepted) == 25
+    assert {game_id: replayed[game_id] for game_id in accepted} == dict.fromkeys(accepted, 1)
+    assert replayed["onetime"] == 1
 
 
 def test_missing_required_option_fails(capsys):

@@ -1,4 +1,6 @@
+import contextlib
 import io
+import logging
 
 import numpy as np
 import pytest
@@ -134,6 +136,67 @@ def test_encode_always_in_unit_interval(catalog, norms, own, enemy, used, mx):
     assert v.shape == (210,)
     assert float(v.min()) >= 0.0
     assert float(v.max()) <= 1.0
+
+
+@st.composite
+def macro_states(draw):
+    """States that push every capped feature over its cap now and then:
+    tech and upgrade caps are 1, unit caps 100, building caps 30, supply 200.
+    Completion frames may lie before the state's frame, as a service request
+    may send them."""
+    return MacroState(
+        frame=draw(st.integers(min_value=0, max_value=3000)),
+        own_count=np.array(
+            draw(st.lists(st.integers(0, 150), min_size=58, max_size=58)), dtype=np.int64
+        ),
+        enemy_count=np.array(
+            draw(st.lists(st.integers(0, 150), min_size=33, max_size=33)), dtype=np.int64
+        ),
+        production=tuple(
+            draw(
+                st.lists(
+                    st.tuples(st.integers(0, 57), st.integers(0, 6000)), max_size=40
+                )
+            )
+        ),
+        supply_used=draw(st.integers(min_value=0, max_value=500)),
+        supply_max=draw(st.integers(min_value=0, max_value=500)),
+    )
+
+
+@contextlib.contextmanager
+def clamp_messages():
+    messages = []
+    handler = logging.Handler()
+    handler.emit = lambda record: messages.append(record.getMessage())
+    logger = logging.getLogger(encoding.__name__)
+    logger.addHandler(handler)
+    try:
+        yield messages
+    finally:
+        logger.removeHandler(handler)
+
+
+def fresh(norms):
+    """The same caps with an empty warn-once record."""
+    return encoding.NormalizationTable(norms.own_caps, norms.enemy_caps, norms.supply_cap)
+
+
+@settings(max_examples=200, deadline=None)
+@given(states=st.lists(macro_states(), min_size=1, max_size=12))
+def test_encode_sequence_matches_per_state(catalog, norms, states):
+    with clamp_messages() as per_state_log:
+        per_state_norms = fresh(norms)
+        expected = np.stack([encode(s, catalog, per_state_norms) for s in states])
+    with clamp_messages() as sequence_log:
+        got = encode(states, catalog, fresh(norms))
+    assert got.shape == (len(states), N_FEATURES)
+    assert got.tobytes() == expected.tobytes()
+    assert sequence_log == per_state_log
+
+
+def test_encode_empty_sequence(catalog, norms):
+    assert encode([], catalog, norms).shape == (0, N_FEATURES)
 
 
 # -- masks -------------------------------------------------------------------

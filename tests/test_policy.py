@@ -3,6 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from macronet import catalog as catalog_module
+from macronet.catalog import load_default_catalog
 from macronet.encoding import ENEMY_SLICE, N_CLASSES, N_FEATURES
 from macronet.errors import CompatibilityError, DegenerateDistributionError
 from macronet.forward import initial_state
@@ -259,8 +261,9 @@ def test_random_mode_reproducible_from_policy_seed(rng):
 def test_decide_checks_catalog_hash(catalog, norms):
     bad_meta = ModelMeta(catalog_hash="0" * 16, norms_hash=norms.content_hash())
     net = init_network(meta=bad_meta)
-    with pytest.raises(CompatibilityError):
+    with pytest.raises(CompatibilityError) as err:
         decide(net, initial_state(catalog), catalog, norms, DecisionPolicy())
+    assert f"{'0' * 16} != {catalog.content_hash()}" in str(err.value)
 
 
 def test_decide_checks_norms_hash(catalog, norms):
@@ -285,3 +288,18 @@ def test_decide_accepts_untagged_model(catalog, norms):
     net = init_network()
     idx, _ = decide(net, initial_state(catalog), catalog, norms, DecisionPolicy())
     assert 0 <= idx < N_CLASSES
+
+
+def test_decide_serializes_the_catalog_once(norms, monkeypatch):
+    catalog = load_default_catalog()
+    writes = []
+    original = catalog_module.write_catalog
+    monkeypatch.setattr(
+        catalog_module, "write_catalog", lambda c, sink: writes.append(1) or original(c, sink)
+    )
+    meta = ModelMeta(catalog_hash=catalog.content_hash(), norms_hash=norms.content_hash())
+    net = init_network(meta=meta)
+    state = initial_state(catalog)
+    for _ in range(100):
+        decide(net, state, catalog, norms, DecisionPolicy())
+    assert len(writes) <= 1

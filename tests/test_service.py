@@ -254,6 +254,38 @@ def test_client_timeout_when_server_never_replies():
         listener.close()
 
 
+def test_client_after_timeout_raises_protocol_error():
+    def answer_late(listener, done):
+        conn, _ = listener.accept()
+        with conn:
+            conn.recv(4096)
+            time.sleep(0.3)
+            reply = json.dumps({"request_id": "first"}).encode()
+            try:
+                conn.sendall(struct.pack(">I", len(reply)) + reply)
+            except OSError:
+                pass  # the client may already have hung up
+            done.wait(timeout=5.0)
+
+    listener = socket.create_server(("127.0.0.1", 0))
+    done = threading.Event()
+    t = threading.Thread(target=answer_late, args=(listener, done), daemon=True)
+    t.start()
+    try:
+        with PredictionClient(listener.getsockname(), timeout=0.1) as client:
+            with pytest.raises(ClientTimeout):
+                client.predict({"request_id": "first"})
+            time.sleep(0.4)  # the late reply has arrived by now
+            for _ in range(2):
+                with pytest.raises(ProtocolError, match="after a timeout"):
+                    client.predict({"request_id": "later"})
+    finally:
+        done.set()
+        t.join(timeout=5.0)
+        listener.close()
+    assert not t.is_alive()
+
+
 def test_protocol_error_on_garbage_reply():
     def serve_garbage(listener, done):
         conn, _ = listener.accept()
