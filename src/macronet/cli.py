@@ -408,6 +408,16 @@ def cmd_serve(args) -> int:
 # Argument plumbing
 # ---------------------------------------------------------------------------
 
+_TRAIN_CONFIG = TrainConfig()
+_TRAIN_DEFAULTS = {
+    "epochs": _TRAIN_CONFIG.epochs,
+    "batch_size": _TRAIN_CONFIG.batch_size,
+    "learning_rate": _TRAIN_CONFIG.learning_rate,
+    "seed": _TRAIN_CONFIG.seed,
+    "mask": _TRAIN_CONFIG.mask.label(),
+    "split_fraction": 0.8,
+}
+
 _DEFAULTS: dict[str, dict] = {
     "extract": {"catalog": None, "norms": None, "json": False},
     "synth": {
@@ -419,26 +429,12 @@ _DEFAULTS: dict[str, dict] = {
         "script": "",
         "json": False,
     },
-    "train": {
-        "epochs": 50,
-        "batch_size": 100,
-        "learning_rate": 0.0001,
-        "seed": 0,
-        "mask": "a+b+c+d+e",
-        "split_fraction": 0.8,
-        "no_split": False,
-        "json": False,
-    },
+    "train": {**_TRAIN_DEFAULTS, "no_split": False, "json": False},
     "eval": {"split_fraction": 0.8, "all": False, "seed": 0, "json": False},
     "ablate": {
         "masks": "a,a+d,a+b+c+e,a+b+c+d+e",
         "repeats": 5,
-        "epochs": 50,
-        "batch_size": 100,
-        "learning_rate": 0.0001,
-        "seed": 0,
-        "mask": "a+b+c+d+e",
-        "split_fraction": 0.8,
+        **_TRAIN_DEFAULTS,
         "json": False,
     },
     "analyze": {"catalog": None, "norms": None, "json": False},
@@ -589,7 +585,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
+def _config_value(key: str, value, action: argparse.Action):
+    """A config file value, checked and converted as its flag's text is:
+    true or false for a switch, else what the flag's type makes of it."""
+    if action.nargs == 0:
+        if isinstance(value, bool):
+            return value
+    elif isinstance(value, (str, int, float)) and not isinstance(value, bool):
+        try:
+            return (action.type or str)(str(value))
+        except ValueError:
+            pass
+    raise MacronetError(f"config key {key!r} has an invalid value {value!r}")
+
+
+def _merge_config(
+    args: argparse.Namespace, parser: argparse.ArgumentParser
+) -> argparse.Namespace:
     """flags > config file > defaults."""
     merged = dict(_DEFAULTS[args.command])
     if getattr(args, "config", None):
@@ -600,7 +612,11 @@ def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
         unknown = set(loaded) - set(merged) - set(_REQUIRED[args.command])
         if unknown:
             raise MacronetError(f"unknown config keys: {sorted(unknown)}")
-        merged.update(loaded)
+        (commands,) = (
+            a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+        )
+        flags = {a.dest: a for a in commands.choices[args.command]._actions}
+        merged.update((k, _config_value(k, v, flags[k])) for k, v in loaded.items())
     for key, value in vars(args).items():
         if key in ("fn", "command", "config"):
             continue
@@ -622,7 +638,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        args = _merge_config(args)
+        args = _merge_config(args, parser)
         return args.fn(args)
     except MacronetError as e:
         print(f"error: {e}", file=sys.stderr)

@@ -8,6 +8,9 @@ gradient oracle tight.
 Conventions: weights are (out, in) matrices, activations are row vectors,
 ReLU's derivative at 0 is 0, and batch gradients are the mean of
 per-example gradients.
+
+All parameters live in one float64 vector in file order (W0 row-major, b0,
+W1, b1, ...); gradients and Adam's moments are vectors of the same shape.
 """
 
 from __future__ import annotations
@@ -16,15 +19,20 @@ import hashlib
 import math
 import struct
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
-from .encoding import FULL_MASK, FeatureGroupMask
+from .encoding import FeatureGroupMask
 from .errors import FormatError
 
 DEFAULT_LAYER_SIZES = (210, 128, 128, 128, 128, 58)
 
 PROBABILITY_FLOOR = 1e-12
+
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 @dataclass(frozen=True)
@@ -45,11 +53,21 @@ class NetworkTopology:
     def output_size(self) -> int:
         return self.layer_sizes[-1]
 
+    @property
+    def n_params(self) -> int:
+        sizes = self.layer_sizes
+        return sum((i + 1) * o for i, o in zip(sizes[:-1], sizes[1:]))
 
-@dataclass(frozen=True)
-class Layer:
-    W: np.ndarray  # (out, in)
-    b: np.ndarray  # (out,)
+    def layer_views(self, flat: np.ndarray) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """(W, b) views of a parameter-shaped vector, layer by layer."""
+        views, pos = [], 0
+        sizes = self.layer_sizes
+        for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
+            W = flat[pos : pos + fan_out * fan_in].reshape(fan_out, fan_in)
+            pos += fan_out * fan_in
+            views.append((W, flat[pos : pos + fan_out]))
+            pos += fan_out
+        return tuple(views)
 
 
 @dataclass(frozen=True)
@@ -65,18 +83,16 @@ class ModelMeta:
 @dataclass(frozen=True)
 class Network:
     topology: NetworkTopology
-    layers: tuple[Layer, ...]
+    params: np.ndarray  # float64, (topology.n_params,), in file order
     meta: ModelMeta = field(default_factory=ModelMeta)
 
+    @cached_property
+    def layers(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """(W, b) views into params: writing to them writes to params."""
+        return self.topology.layer_views(self.params)
+
     def model_version(self) -> str:
-        digest = hashlib.sha256()
-        for layer in self.layers:
-            digest.update(layer.W.astype(">f8").tobytes())
-            digest.update(layer.b.astype(">f8").tobytes())
-        return digest.hexdigest()[:12]
-
-
-Gradients = list[tuple[np.ndarray, np.ndarray]]
+        return hashlib.sha256(self.params.astype(">f8").tobytes()).hexdigest()[:12]
 
 
 def init_network(
@@ -86,15 +102,11 @@ def init_network(
 ) -> Network:
     """Xavier-uniform weights (limit sqrt(6/(fan_in+fan_out))), zero biases."""
     rng = np.random.default_rng(seed)
-    layers = []
-    sizes = topology.layer_sizes
-    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
-        limit = math.sqrt(6.0 / (fan_in + fan_out))
-        W = rng.uniform(-limit, limit, size=(fan_out, fan_in))
-        layers.append(Layer(W=W, b=np.zeros(fan_out, dtype=np.float64)))
-    return Network(
-        topology=topology, layers=tuple(layers), meta=meta or ModelMeta()
-    )
+    params = np.zeros(topology.n_params, dtype=np.float64)
+    for W, _ in topology.layer_views(params):
+        limit = math.sqrt(6.0 / sum(W.shape))
+        W[...] = rng.uniform(-limit, limit, size=W.shape)
+    return Network(topology=topology, params=params, meta=meta or ModelMeta())
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
@@ -108,8 +120,8 @@ def _forward_cached(net: Network, X: np.ndarray):
     zs, activations = [], [X]
     a = X
     last = len(net.layers) - 1
-    for i, layer in enumerate(net.layers):
-        z = a @ layer.W.T + layer.b
+    for i, (W, b) in enumerate(net.layers):
+        z = a @ W.T + b
         zs.append(z)
         a = _softmax(z) if i == last else np.maximum(z, 0.0)
         activations.append(a)
@@ -155,15 +167,16 @@ def batch_loss(probs: np.ndarray, targets: np.ndarray) -> float:
     return float(-np.log(np.maximum(picked, PROBABILITY_FLOOR)).mean())
 
 
-def backward(net: Network, x: np.ndarray, target_class: int) -> Gradients:
-    """Gradients of the cross-entropy loss for one example."""
+def backward(net: Network, x: np.ndarray, target_class: int) -> np.ndarray:
+    """Gradient of the cross-entropy loss for one example, shaped like params."""
     return backward_batch(net, np.asarray(x)[None, :], np.array([target_class]))[2]
 
 
 def backward_batch(
     net: Network, X: np.ndarray, targets: np.ndarray
-) -> tuple[float, np.ndarray, Gradients]:
-    """Mean loss, batch probabilities, and mean-of-per-example gradients."""
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """Mean loss, batch probabilities, and the mean of the per-example
+    gradients, shaped like params."""
     X = _check_input(net, X)
     zs, activations, probs = _forward_cached(net, X)
     n = X.shape[0]
@@ -172,11 +185,14 @@ def backward_batch(
     delta = probs.copy()
     delta[np.arange(n), targets] -= 1.0
     delta /= n
-    grads: Gradients = [None] * len(net.layers)  # type: ignore[list-item]
+    grads = np.empty_like(net.params)
+    grad_views = net.topology.layer_views(grads)
     for i in range(len(net.layers) - 1, -1, -1):
-        grads[i] = (delta.T @ activations[i], delta.sum(axis=0))
+        dW, db = grad_views[i]
+        np.matmul(delta.T, activations[i], out=dW)
+        delta.sum(axis=0, out=db)
         if i > 0:
-            delta = (delta @ net.layers[i].W) * (zs[i - 1] > 0.0)
+            delta = (delta @ net.layers[i][0]) * (zs[i - 1] > 0.0)
     return mean_loss, probs, grads
 
 
@@ -187,79 +203,46 @@ def backward_batch(
 
 @dataclass(frozen=True)
 class AdamState:
+    """Step count, moments shaped like params, and the learning rate."""
+
     t: int
-    m: tuple[tuple[np.ndarray, np.ndarray], ...]
-    v: tuple[tuple[np.ndarray, np.ndarray], ...]
-    alpha: float = 0.0001
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
+    m: np.ndarray
+    v: np.ndarray
+    alpha: float
 
 
-def init_adam(net: Network, alpha: float = 0.0001) -> AdamState:
-    zeros = tuple(
-        (np.zeros_like(layer.W), np.zeros_like(layer.b)) for layer in net.layers
-    )
+def init_adam(net: Network, alpha: float) -> AdamState:
+    zeros = np.zeros_like(net.params)
     return AdamState(t=0, m=zeros, v=zeros, alpha=alpha)
 
 
 def adam_step(
-    net: Network, adam: AdamState, grads: Gradients
+    net: Network, adam: AdamState, grads: np.ndarray
 ) -> tuple[Network, AdamState]:
-    """One bias-corrected Adam update. Rejects non-finite gradients."""
-    for dW, db in grads:
-        if not (np.isfinite(dW).all() and np.isfinite(db).all()):
-            raise ValueError("non-finite gradient; update rejected")
+    """One bias-corrected Adam update (Kingma & Ba 2015) into fresh vectors;
+    rejects non-finite gradients. Written with out= to spare temporaries, in
+    the operation order of m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g,
+    p = p - alpha*(m/c1) / (sqrt(v/c2) + eps), so the bits match it."""
+    if not np.isfinite(grads).all():
+        raise ValueError("non-finite gradient; update rejected")
     t = adam.t + 1
-    c1 = 1.0 - adam.beta1**t
-    c2 = 1.0 - adam.beta2**t
-    new_layers, new_m, new_v = [], [], []
-    for layer, (mW, mb), (vW, vb), (dW, db) in zip(net.layers, adam.m, adam.v, grads):
-        mW = adam.beta1 * mW + (1.0 - adam.beta1) * dW
-        mb = adam.beta1 * mb + (1.0 - adam.beta1) * db
-        vW = adam.beta2 * vW + (1.0 - adam.beta2) * dW * dW
-        vb = adam.beta2 * vb + (1.0 - adam.beta2) * db * db
-        W = layer.W - adam.alpha * (mW / c1) / (np.sqrt(vW / c2) + adam.eps)
-        b = layer.b - adam.alpha * (mb / c1) / (np.sqrt(vb / c2) + adam.eps)
-        new_layers.append(Layer(W=W, b=b))
-        new_m.append((mW, mb))
-        new_v.append((vW, vb))
-    return (
-        replace(net, layers=tuple(new_layers)),
-        replace(adam, t=t, m=tuple(new_m), v=tuple(new_v)),
-    )
-
-
-# ---------------------------------------------------------------------------
-# Gradient checking
-# ---------------------------------------------------------------------------
-
-
-def finite_difference_gradients(
-    net: Network, x: np.ndarray, target_class: int, h: float = 1e-5
-) -> Gradients:
-    """Central-difference gradient of loss(forward(net, x), target) for every
-    parameter. Independent of backward(); intended as a test oracle, so it is
-    deliberately a plain loop."""
-    grads: Gradients = []
-    for layer in net.layers:
-        pieces = []
-        for arr in (layer.W, layer.b):
-            d = np.zeros_like(arr)
-            it = np.nditer(arr, flags=["multi_index"])
-            while not it.finished:
-                idx = it.multi_index
-                orig = arr[idx]
-                arr[idx] = orig + h
-                up = loss(forward(net, x), target_class)
-                arr[idx] = orig - h
-                down = loss(forward(net, x), target_class)
-                arr[idx] = orig
-                d[idx] = (up - down) / (2.0 * h)
-                it.iternext()
-            pieces.append(d)
-        grads.append((pieces[0], pieces[1]))
-    return grads
+    c1 = 1.0 - ADAM_BETA1**t
+    c2 = 1.0 - ADAM_BETA2**t
+    scratch = np.multiply(1.0 - ADAM_BETA1, grads)
+    m = np.multiply(ADAM_BETA1, adam.m)
+    m += scratch
+    np.multiply(1.0 - ADAM_BETA2, grads, out=scratch)
+    scratch *= grads
+    v = np.multiply(ADAM_BETA2, adam.v)
+    v += scratch
+    np.divide(v, c2, out=scratch)
+    np.sqrt(scratch, out=scratch)
+    scratch += ADAM_EPS
+    params = np.divide(m, c1)
+    np.multiply(adam.alpha, params, out=params)
+    params /= scratch
+    np.subtract(net.params, params, out=params)
+    return replace(net, params=params), replace(adam, t=t, m=m, v=v)
 
 
 # ---------------------------------------------------------------------------
@@ -281,9 +264,7 @@ def save_model(net: Network, sink) -> None:
     sizes = net.topology.layer_sizes
     sink.write(struct.pack(">H", len(sizes)))
     sink.write(struct.pack(f">{len(sizes)}I", *sizes))
-    for layer in net.layers:
-        sink.write(layer.W.astype(">f8").tobytes())
-        sink.write(layer.b.astype(">f8").tobytes())
+    sink.write(net.params.astype(">f8").tobytes())
 
 
 def load_model(source) -> Network:
@@ -310,15 +291,7 @@ def load_model(source) -> Network:
     (n_sizes,) = struct.unpack(">H", take(2))
     sizes = struct.unpack(f">{n_sizes}I", take(n_sizes * 4))
     topology = NetworkTopology(layer_sizes=tuple(sizes))
-    layers = []
-    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
-        W = (
-            np.frombuffer(take(fan_out * fan_in * 8), dtype=">f8")
-            .reshape(fan_out, fan_in)
-            .astype(np.float64)
-        )
-        b = np.frombuffer(take(fan_out * 8), dtype=">f8").astype(np.float64)
-        layers.append(Layer(W=W, b=b))
+    params = np.frombuffer(take(topology.n_params * 8), dtype=">f8").astype(np.float64)
     if pos != len(data):
         raise FormatError("trailing bytes after model parameters")
     meta = ModelMeta(
@@ -326,4 +299,4 @@ def load_model(source) -> Network:
         norms_hash=hashes[1],
         mask=FeatureGroupMask.from_bits(mask_bits),
     )
-    return Network(topology=topology, layers=tuple(layers), meta=meta)
+    return Network(topology=topology, params=params, meta=meta)

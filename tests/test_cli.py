@@ -11,6 +11,7 @@ from macronet import cli, encoding
 from macronet.cli import EXPANSION_CSV_HEADER, expansion_curve, main
 from macronet.encoding import read_dataset
 from macronet.net import load_model
+from macronet.training import TrainConfig
 
 
 @pytest.fixture(scope="module")
@@ -297,6 +298,62 @@ def test_unknown_config_key_rejected(pipeline, tmp_path, capsys):
     )
     assert code == 1
     assert "epoochs" in capsys.readouterr().err
+
+
+def _train_with_config(pipeline, tmp_path, values):
+    config = tmp_path / "train.json"
+    config.write_text(json.dumps(values))
+    return main(
+        [
+            "train",
+            "--dataset",
+            str(pipeline["dataset"]),
+            "--out",
+            str(tmp_path / "m.mnnet"),
+            "--config",
+            str(config),
+            "--json",
+        ]
+    )
+
+
+def test_config_values_convert_like_flags(pipeline, tmp_path, capsys):
+    code = _train_with_config(
+        pipeline, tmp_path, {"epochs": "2", "learning_rate": 1, "seed": "4"}
+    )
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["epochs"] == 2
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("epochs", True),  # a bool is not an int, although Python says it is
+        ("epochs", "two"),
+        ("epochs", 2.5),
+        ("epochs", None),
+        ("learning_rate", False),
+        ("batch_size", [100]),
+        ("mask", True),
+        ("json", "yes"),
+    ],
+)
+def test_config_values_of_the_wrong_type_rejected(pipeline, tmp_path, capsys, key, value):
+    assert _train_with_config(pipeline, tmp_path, {key: value}) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert repr(key) in err
+
+
+def test_train_defaults_come_from_train_config():
+    config = TrainConfig()
+    for command in ("train", "ablate"):
+        defaults = cli._DEFAULTS[command]
+        assert defaults["epochs"] == config.epochs
+        assert defaults["batch_size"] == config.batch_size
+        assert defaults["learning_rate"] == config.learning_rate
+        assert defaults["seed"] == config.seed
+        assert encoding.parse_mask(defaults["mask"]) == config.mask
 
 
 # -- failure modes ------------------------------------------------------------------

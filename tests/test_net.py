@@ -1,16 +1,17 @@
 import io
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gradcheck import finite_difference_gradients
 from macronet.encoding import FeatureGroupMask, parse_mask
 from macronet.errors import FormatError
 from macronet.net import (
     DEFAULT_LAYER_SIZES,
-    Layer,
     ModelMeta,
     Network,
     NetworkTopology,
@@ -18,7 +19,6 @@ from macronet.net import (
     backward,
     backward_batch,
     batch_loss,
-    finite_difference_gradients,
     forward,
     forward_batch,
     init_adam,
@@ -50,8 +50,18 @@ def test_topology_validation():
 
 def test_init_shapes_and_zero_biases():
     net = tiny((210, 128, 58))
-    assert [l.W.shape for l in net.layers] == [(128, 210), (58, 128)]
-    assert all(not l.b.any() for l in net.layers)
+    assert [W.shape for W, _ in net.layers] == [(128, 210), (58, 128)]
+    assert all(not b.any() for _, b in net.layers)
+
+
+def test_layers_are_views_in_file_order():
+    net = tiny((6, 5, 4))
+    (W0, b0), (W1, b1) = net.layers
+    assert net.params.shape == (net.topology.n_params,) == (5 * 7 + 4 * 6,)
+    np.testing.assert_array_equal(
+        net.params, np.concatenate([W0.ravel(), b0, W1.ravel(), b1])
+    )
+    assert all(np.shares_memory(a, net.params) for layer in net.layers for a in layer)
 
 
 def test_init_is_deterministic():
@@ -66,7 +76,7 @@ def test_xavier_distribution_stats():
     """Uniform on (-L, L) with L = sqrt(6/(fan_in+fan_out)): bounded support,
     variance L^2/3 = 2/(fan_in+fan_out)."""
     net = init_network(NetworkTopology(layer_sizes=(200, 100, 10)), seed=4)
-    W = net.layers[0].W  # 20000 draws
+    W = net.layers[0][0]  # 20000 draws
     limit = math.sqrt(6.0 / (200 + 100))
     assert W.size >= 10_000
     assert float(np.abs(W).max()) <= limit
@@ -112,11 +122,7 @@ def test_forward_rejects_bad_shape(rng):
 def test_softmax_handles_large_logits():
     # weights scaled up so raw logits are huge; max-subtraction keeps it finite
     net = tiny((4, 3, 2), seed=0)
-    big = Network(
-        topology=net.topology,
-        layers=tuple(Layer(W=l.W * 400.0, b=l.b) for l in net.layers),
-        meta=net.meta,
-    )
+    big = replace(net, params=net.params * 400.0)  # biases are 0: scales the weights
     dist = forward(big, np.ones(4))
     assert np.isfinite(dist).all()
     assert float(dist.sum()) == pytest.approx(1.0)
@@ -126,11 +132,7 @@ def test_loss_at_zero_weights_is_log_n():
     """All-zero parameters give the uniform distribution, so cross-entropy is
     ln(58) = 4.06044... regardless of the target."""
     net = init_network(seed=0)
-    zeroed = Network(
-        topology=net.topology,
-        layers=tuple(Layer(W=np.zeros_like(l.W), b=np.zeros_like(l.b)) for l in net.layers),
-        meta=net.meta,
-    )
+    zeroed = replace(net, params=np.zeros_like(net.params))
     x = np.full(210, 0.5)
     for target in (0, 30, 57):
         assert loss(forward(zeroed, x), target) == pytest.approx(math.log(58), abs=1e-12)
@@ -167,9 +169,8 @@ def test_backward_matches_finite_differences(sizes, rng):
     target = int(rng.integers(sizes[-1]))
     analytic = backward(net, x, target)
     numeric = finite_difference_gradients(net, x, target)
-    for (aW, ab), (nW, nb) in zip(analytic, numeric):
-        np.testing.assert_allclose(aW, nW, rtol=1e-4, atol=1e-7)
-        np.testing.assert_allclose(ab, nb, rtol=1e-4, atol=1e-7)
+    assert analytic.shape == numeric.shape == net.params.shape
+    np.testing.assert_allclose(analytic, numeric, rtol=1e-4, atol=1e-7)
 
 
 def test_backward_batch_averages_per_example_gradients(rng):
@@ -178,28 +179,19 @@ def test_backward_batch_averages_per_example_gradients(rng):
     targets = np.array([1, 0, 3])
     _, _, batch_grads = backward_batch(net, X, targets)
     singles = [backward(net, X[i], int(targets[i])) for i in range(3)]
-    for li, (bW, bb) in enumerate(batch_grads):
-        np.testing.assert_allclose(
-            bW, np.mean([s[li][0] for s in singles], axis=0), atol=1e-12
-        )
-        np.testing.assert_allclose(
-            bb, np.mean([s[li][1] for s in singles], axis=0), atol=1e-12
-        )
+    np.testing.assert_allclose(batch_grads, np.mean(singles, axis=0), atol=1e-12)
 
 
 def test_output_bias_gradient_at_zero_weights():
     """With zero weights the output is uniform, so dL/db at the output layer
     is exactly 1/n - onehot."""
     net = tiny((6, 5, 4), seed=0)
-    zeroed = Network(
-        topology=net.topology,
-        layers=tuple(Layer(W=np.zeros_like(l.W), b=np.zeros_like(l.b)) for l in net.layers),
-        meta=net.meta,
-    )
+    zeroed = replace(net, params=np.zeros_like(net.params))
     grads = backward(zeroed, np.ones(6), 2)
     expected = np.full(4, 0.25)
     expected[2] -= 1.0
-    np.testing.assert_allclose(grads[-1][1], expected, atol=1e-12)
+    _, output_b = zeroed.topology.layer_views(grads)[-1]
+    np.testing.assert_allclose(output_b, expected, atol=1e-12)
 
 
 def test_adam_first_step_magnitude():
@@ -211,33 +203,33 @@ def test_adam_first_step_magnitude():
     grads = backward(net, x, 1)
     stepped, adam = adam_step(net, adam, grads)
     assert adam.t == 1
-    for before, after, (dW, _) in zip(net.layers, stepped.layers, grads):
-        delta = np.abs(after.W - before.W)
-        moved = np.abs(dW) > 1e-4  # away from the eps regime
-        assert np.all(delta[moved] <= 0.0001 + 1e-12)
-        assert np.all(delta[moved] >= 0.0001 * (1.0 - 1e-3))
+    delta = np.abs(stepped.params - net.params)
+    moved = np.abs(grads) > 1e-4  # away from the eps regime
+    assert np.all(delta[moved] <= 0.0001 + 1e-12)
+    assert np.all(delta[moved] >= 0.0001 * (1.0 - 1e-3))
 
 
 def test_adam_is_functional():
     net = tiny()
-    adam = init_adam(net)
-    w_before = net.layers[0].W.copy()
+    adam = init_adam(net, alpha=0.0001)
+    before = net.params.copy()
     grads = backward(net, np.ones(6), 0)
     stepped, adam2 = adam_step(net, adam, grads)
-    np.testing.assert_array_equal(net.layers[0].W, w_before)
+    np.testing.assert_array_equal(net.params, before)
+    assert not adam.m.any() and not adam.v.any()
     assert adam.t == 0 and adam2.t == 1
     assert stepped is not net
 
 
 def test_adam_rejects_nonfinite_gradients():
     net = tiny()
-    adam = init_adam(net)
+    adam = init_adam(net, alpha=0.0001)
     grads = backward(net, np.ones(6), 0)
-    bad = [(W.copy(), b.copy()) for W, b in grads]
-    bad[0][0][0, 0] = np.nan
+    bad = grads.copy()
+    bad[0] = np.nan
     with pytest.raises(ValueError):
         adam_step(net, adam, bad)
-    bad[0][0][0, 0] = np.inf
+    bad[0] = np.inf
     with pytest.raises(ValueError):
         adam_step(net, adam, bad)
 
@@ -267,7 +259,7 @@ def test_save_load_bit_exact(rng):
     net = init_network(NetworkTopology(layer_sizes=(10, 7, 5)), seed=6, meta=meta)
     # bit-exactness must survive trained (non-initial) weights too
     grads = backward(net, rng.random(10), 2)
-    net, _ = adam_step(net, init_adam(net), grads)
+    net, _ = adam_step(net, init_adam(net, alpha=0.0001), grads)
     buf = io.BytesIO()
     save_model(net, buf)
     buf.seek(0)
@@ -275,9 +267,7 @@ def test_save_load_bit_exact(rng):
     assert again.topology == net.topology
     assert again.meta == net.meta
     assert again.meta.mask == FeatureGroupMask(in_production=False, opponent=False)
-    for a, b in zip(net.layers, again.layers):
-        np.testing.assert_array_equal(a.W, b.W)
-        np.testing.assert_array_equal(a.b, b.b)
+    np.testing.assert_array_equal(again.params, net.params)
     assert again.model_version() == net.model_version()
 
 
@@ -320,9 +310,8 @@ def test_load_detects_bad_magic():
 def test_model_version_tracks_parameters():
     net = tiny((6, 5, 4), seed=3)
     v0 = net.model_version()
-    layers = [Layer(W=l.W.copy(), b=l.b.copy()) for l in net.layers]
-    layers[1].W[0, 0] += 1e-9
-    bumped = Network(topology=net.topology, layers=tuple(layers), meta=net.meta)
+    bumped = replace(net, params=net.params.copy())
+    bumped.layers[1][0][0, 0] += 1e-9
     assert bumped.model_version() != v0
     assert len(v0) == 12
 
@@ -331,7 +320,7 @@ def test_model_version_ignores_meta():
     net = tiny((6, 5, 4), seed=3)
     remeta = Network(
         topology=net.topology,
-        layers=net.layers,
+        params=net.params,
         meta=ModelMeta(catalog_hash="aa", norms_hash="bb", mask=parse_mask("a")),
     )
     assert remeta.model_version() == net.model_version()

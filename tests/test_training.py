@@ -1,10 +1,21 @@
+import hashlib
+import io
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from macronet.encoding import N_CLASSES, N_FEATURES, Dataset, GameRecord, parse_mask
-from macronet.net import init_network
+from macronet.encoding import (
+    N_CLASSES,
+    N_FEATURES,
+    Dataset,
+    GameRecord,
+    build_dataset,
+    parse_mask,
+)
+from macronet.net import init_network, save_model
+from macronet.simulate import generate_synthetic_corpus
 from macronet.training import (
     AblationRow,
     TrainConfig,
@@ -236,6 +247,22 @@ def test_train_is_deterministic():
     assert hist_a == hist_b
     net_c, _ = train(ds, TrainConfig(epochs=2, layer_sizes=(210, 16, 58), seed=4))
     assert net_c.model_version() != net_a.model_version()
+
+
+# Recorded on the per-layer implementation before the flat parameter vector
+# replaced it; any change to the arithmetic or the file layout moves them.
+PINNED_MODEL_VERSION = "b77e9b6062ce"
+PINNED_MODEL_SHA256 = "79c5cb858ac8e27eaae4e9b1232860d655fae0bf4012e1de637b9662c5be1a84"
+
+
+def test_trained_model_bits_are_pinned(generator, catalog, norms):
+    logs = generate_synthetic_corpus(generator, 40, seed=5)
+    ds = build_dataset(logs, catalog, norms)
+    net, _ = train(ds, TrainConfig(epochs=3, seed=5))
+    buf = io.BytesIO()
+    save_model(net, buf)
+    assert net.model_version() == PINNED_MODEL_VERSION
+    assert hashlib.sha256(buf.getvalue()).hexdigest() == PINNED_MODEL_SHA256
 
 
 def test_train_records_meta_and_mask():
