@@ -63,7 +63,6 @@ from .net import (
     Network,
     NetworkTopology,
     adam_step,
-    backward,
     backward_batch,
     forward,
     forward_batch,

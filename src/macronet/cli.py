@@ -144,12 +144,11 @@ def _make_generator(args, catalog: BuildCatalog):
         return simulate.ReactiveScript(catalog)
     if args.generator == "two-branch":
         return simulate.TwoBranchScript(catalog, p_first=args.p_first)
-    if args.generator == "fixed":
-        if not args.script:
-            raise MacronetError("--script is required for the fixed generator")
-        names = [n.strip() for n in args.script.split(",") if n.strip()]
-        return simulate.FixedScript(catalog, names)
-    raise MacronetError(f"unknown generator {args.generator!r}")
+    # "fixed", the one other choice that the flag and --config accept
+    if not args.script:
+        raise MacronetError("--script is required for the fixed generator")
+    names = [n.strip() for n in args.script.split(",") if n.strip()]
+    return simulate.FixedScript(catalog, names)
 
 
 def cmd_synth(args) -> int:
@@ -408,62 +407,6 @@ def cmd_serve(args) -> int:
 # Argument plumbing
 # ---------------------------------------------------------------------------
 
-_TRAIN_CONFIG = TrainConfig()
-_TRAIN_DEFAULTS = {
-    "epochs": _TRAIN_CONFIG.epochs,
-    "batch_size": _TRAIN_CONFIG.batch_size,
-    "learning_rate": _TRAIN_CONFIG.learning_rate,
-    "seed": _TRAIN_CONFIG.seed,
-    "mask": _TRAIN_CONFIG.mask.label(),
-    "split_fraction": 0.8,
-}
-
-_DEFAULTS: dict[str, dict] = {
-    "extract": {"catalog": None, "norms": None, "json": False},
-    "synth": {
-        "catalog": None,
-        "generator": "reactive",
-        "games": 100,
-        "seed": 0,
-        "p_first": 0.7,
-        "script": "",
-        "json": False,
-    },
-    "train": {**_TRAIN_DEFAULTS, "no_split": False, "json": False},
-    "eval": {"split_fraction": 0.8, "all": False, "seed": 0, "json": False},
-    "ablate": {
-        "masks": "a,a+d,a+b+c+e,a+b+c+d+e",
-        "repeats": 5,
-        **_TRAIN_DEFAULTS,
-        "json": False,
-    },
-    "analyze": {"catalog": None, "norms": None, "json": False},
-    "simulate": {
-        "catalog": None,
-        "norms": None,
-        "a": "worker-then-army",
-        "b": "worker-then-army",
-        "matches": 20,
-        "seed": 0,
-        "frame_cap": 28800,
-        "mode": "greedy",
-        "blind": False,
-        "exclude": "",
-        "policy_seed": 0,
-        "json": False,
-    },
-    "serve": {
-        "catalog": None,
-        "norms": None,
-        "bind": "127.0.0.1:7777",
-        "seed": 0,
-        "mode": "greedy",
-        "blind": False,
-        "exclude": "",
-        "policy_seed": 0,
-    },
-}
-
 _REQUIRED: dict[str, tuple[str, ...]] = {
     "extract": ("events", "out"),
     "synth": ("out",),
@@ -477,19 +420,24 @@ _REQUIRED: dict[str, tuple[str, ...]] = {
 
 
 def _add_policy_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--mode", choices=["greedy", "probabilistic", "random"])
+    p.add_argument("--mode", choices=["greedy", "probabilistic", "random"], default="greedy")
     p.add_argument("--blind", action="store_true")
-    p.add_argument("--exclude", help="comma-separated build names, or 'default'")
-    p.add_argument("--policy-seed", type=int, dest="policy_seed")
+    p.add_argument("--exclude", default="", help="comma-separated build names, or 'default'")
+    p.add_argument("--policy-seed", type=int, dest="policy_seed", default=0)
 
 
 def _add_train_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--batch-size", type=int, dest="batch_size")
-    p.add_argument("--learning-rate", type=float, dest="learning_rate")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--mask", help="feature groups, e.g. a+b+c+d+e")
-    p.add_argument("--split-fraction", type=float, dest="split_fraction")
+    config = TrainConfig()
+    p.add_argument("--epochs", type=int, default=config.epochs)
+    p.add_argument("--batch-size", type=int, dest="batch_size", default=config.batch_size)
+    p.add_argument(
+        "--learning-rate", type=float, dest="learning_rate", default=config.learning_rate
+    )
+    p.add_argument("--seed", type=int, default=config.seed)
+    p.add_argument(
+        "--mask", default=config.mask.label(), help="feature groups, e.g. a+b+c+d+e"
+    )
+    p.add_argument("--split-fraction", type=float, dest="split_fraction", default=0.8)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -499,151 +447,138 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version="macronet 0.1.0")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("extract", help="encode event logs into a dataset")
+    def command(name, fn, summary, files=("catalog", "norms"), json_flag=True):
+        """A subcommand with the flags it shares with others: the catalog
+        and norms files it reads, --json, and --config."""
+        p = sub.add_parser(name, help=summary)
+        for flag in files:
+            p.add_argument(f"--{flag}")
+        if json_flag:
+            p.add_argument("--json", action="store_true")
+        p.add_argument("--config")
+        p.set_defaults(fn=fn)
+        return p
+
+    p = command("extract", cmd_extract, "encode event logs into a dataset")
     p.add_argument("--events")
-    p.add_argument("--catalog")
-    p.add_argument("--norms")
     p.add_argument("--out")
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--config")
-    p.set_defaults(fn=cmd_extract)
 
-    p = sub.add_parser("synth", help="generate a synthetic corpus")
-    p.add_argument("--generator", choices=["reactive", "two-branch", "fixed"])
-    p.add_argument("--games", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--p-first", type=float, dest="p_first")
-    p.add_argument("--script", help="comma-separated build names (fixed generator)")
-    p.add_argument("--catalog")
+    p = command("synth", cmd_synth, "generate a synthetic corpus", files=("catalog",))
+    p.add_argument(
+        "--generator", choices=["reactive", "two-branch", "fixed"], default="reactive"
+    )
+    p.add_argument("--games", type=int, default=100)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--p-first", type=float, dest="p_first", default=0.7)
+    p.add_argument(
+        "--script", default="", help="comma-separated build names (fixed generator)"
+    )
     p.add_argument("--out")
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--config")
-    p.set_defaults(fn=cmd_synth)
 
-    p = sub.add_parser("train", help="train a model on a dataset")
+    p = command("train", cmd_train, "train a model on a dataset", files=())
     p.add_argument("--dataset")
     p.add_argument("--out")
     _add_train_flags(p)
     p.add_argument("--no-split", action="store_true", dest="no_split",
                    help="train on every game, no held-out report")
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--config")
-    p.set_defaults(fn=cmd_train)
 
-    p = sub.add_parser("eval", help="top-k error of a model with baselines")
+    p = command("eval", cmd_eval, "top-k error of a model with baselines", files=())
     p.add_argument("--dataset")
     p.add_argument("--model")
-    p.add_argument("--split-fraction", type=float, dest="split_fraction")
+    p.add_argument("--split-fraction", type=float, dest="split_fraction", default=0.8)
     p.add_argument("--all", action="store_true", help="evaluate on every pair")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--config")
-    p.set_defaults(fn=cmd_eval)
+    p.add_argument("--seed", type=int, default=0)
 
-    p = sub.add_parser("ablate", help="feature-group ablation grid")
+    p = command("ablate", cmd_ablate, "feature-group ablation grid", files=())
     p.add_argument("--dataset")
-    p.add_argument("--masks", help="comma-separated mask labels")
-    p.add_argument("--repeats", type=int)
+    p.add_argument(
+        "--masks", default="a,a+d,a+b+c+e,a+b+c+d+e", help="comma-separated mask labels"
+    )
+    p.add_argument("--repeats", type=int, default=5)
     _add_train_flags(p)
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--config")
-    p.set_defaults(fn=cmd_ablate)
 
-    p = sub.add_parser("analyze", help="expansion probability by worker count")
+    p = command("analyze", cmd_analyze, "expansion probability by worker count")
     p.add_argument("--dataset")
     p.add_argument("--model")
-    p.add_argument("--catalog")
-    p.add_argument("--norms")
     p.add_argument("--out")
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--config")
-    p.set_defaults(fn=cmd_analyze)
 
-    p = sub.add_parser("simulate", help="abstract matches between policies")
-    p.add_argument("--a", help="side A: model file path or a script name")
-    p.add_argument("--b", help="side B: model file path or a script name")
-    p.add_argument("--matches", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--frame-cap", type=int, dest="frame_cap")
-    p.add_argument("--catalog")
-    p.add_argument("--norms")
+    p = command("simulate", cmd_simulate, "abstract matches between policies")
+    p.add_argument(
+        "--a", default="worker-then-army", help="side A: model file path or a script name"
+    )
+    p.add_argument(
+        "--b", default="worker-then-army", help="side B: model file path or a script name"
+    )
+    p.add_argument("--matches", type=int, default=20)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--frame-cap", type=int, dest="frame_cap", default=28800)
     _add_policy_flags(p)
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--config")
-    p.set_defaults(fn=cmd_simulate)
 
-    p = sub.add_parser("serve", help="run the prediction service")
+    p = command("serve", cmd_serve, "run the prediction service", json_flag=False)
     p.add_argument("--model")
-    p.add_argument("--catalog")
-    p.add_argument("--norms")
-    p.add_argument("--bind", help="host:port")
-    p.add_argument("--seed", type=int)
+    p.add_argument("--bind", default="127.0.0.1:7777", help="host:port")
+    p.add_argument("--seed", type=int, default=0)
     _add_policy_flags(p)
-    p.add_argument("--config")
-    p.set_defaults(fn=cmd_serve)
 
     return parser
 
 
 def _config_value(key: str, value, action: argparse.Action):
     """A config file value, checked and converted as its flag's text is:
-    true or false for a switch, else what the flag's type makes of it."""
+    true or false for a switch, else what the flag's type makes of it,
+    within the flag's choices."""
     if action.nargs == 0:
         if isinstance(value, bool):
             return value
     elif isinstance(value, (str, int, float)) and not isinstance(value, bool):
         try:
-            return (action.type or str)(str(value))
+            converted = (action.type or str)(str(value))
         except ValueError:
             pass
+        else:
+            if action.choices is None or converted in action.choices:
+                return converted
     raise MacronetError(f"config key {key!r} has an invalid value {value!r}")
 
 
-def _merge_config(
-    args: argparse.Namespace, parser: argparse.ArgumentParser
-) -> argparse.Namespace:
-    """flags > config file > defaults."""
-    merged = dict(_DEFAULTS[args.command])
-    if getattr(args, "config", None):
+def _parse_args(parser: argparse.ArgumentParser, argv) -> argparse.Namespace:
+    """flags > config file > the flags' defaults: the config file's values
+    become the subcommand's defaults, and a second parse lets typed flags
+    beat them."""
+    args = parser.parse_args(argv)
+    if args.config:
         with open(args.config, "r", encoding="utf-8") as f:
             loaded = json.load(f)
         if not isinstance(loaded, dict):
             raise MacronetError("config file must hold a JSON object")
-        unknown = set(loaded) - set(merged) - set(_REQUIRED[args.command])
-        if unknown:
-            raise MacronetError(f"unknown config keys: {sorted(unknown)}")
         (commands,) = (
             a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
         )
-        flags = {a.dest: a for a in commands.choices[args.command]._actions}
-        merged.update((k, _config_value(k, v, flags[k])) for k, v in loaded.items())
-    for key, value in vars(args).items():
-        if key in ("fn", "command", "config"):
-            continue
-        if value is not None and value is not False:
-            merged[key] = value
-        elif key not in merged:
-            merged[key] = value
-    missing = [k for k in _REQUIRED[args.command] if not merged.get(k)]
+        subparser = commands.choices[args.command]
+        flags = {
+            a.dest: a for a in subparser._actions if a.dest not in ("help", "config")
+        }
+        unknown = set(loaded) - set(flags)
+        if unknown:
+            raise MacronetError(f"unknown config keys: {sorted(unknown)}")
+        subparser.set_defaults(
+            **{k: _config_value(k, v, flags[k]) for k, v in loaded.items()}
+        )
+        args = parser.parse_args(argv)
+    missing = [k for k in _REQUIRED[args.command] if not getattr(args, k)]
     if missing:
         raise MacronetError(
             f"missing required options: {', '.join('--' + m for m in missing)}"
         )
-    merged["fn"] = args.fn
-    merged["command"] = args.command
-    return argparse.Namespace(**merged)
+    return args
 
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        args = _merge_config(args, parser)
+        args = _parse_args(parser, argv)
         return args.fn(args)
-    except MacronetError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except (ValueError, KeyError, OSError) as e:
+    except (MacronetError, ValueError, KeyError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -140,11 +140,10 @@ def _check_input(net: Network, X: np.ndarray) -> np.ndarray:
 
 def forward(net: Network, x: np.ndarray) -> np.ndarray:
     """Class distribution for one input vector. Non-negative, sums to 1."""
-    x = _check_input(net, x)
+    x = np.asarray(x)
     if x.ndim != 1:
         raise ValueError(f"forward expects a single vector, got shape {x.shape}")
-    _, _, probs = _forward_cached(net, x[None, :])
-    return probs[0]
+    return forward_batch(net, x[None, :])[0]
 
 
 def forward_batch(net: Network, X: np.ndarray) -> np.ndarray:
@@ -165,11 +164,6 @@ def loss(dist: np.ndarray, target_class: int) -> float:
 def batch_loss(probs: np.ndarray, targets: np.ndarray) -> float:
     picked = probs[np.arange(len(targets)), targets]
     return float(-np.log(np.maximum(picked, PROBABILITY_FLOOR)).mean())
-
-
-def backward(net: Network, x: np.ndarray, target_class: int) -> np.ndarray:
-    """Gradient of the cross-entropy loss for one example, shaped like params."""
-    return backward_batch(net, np.asarray(x)[None, :], np.array([target_class]))[2]
 
 
 def backward_batch(

@@ -46,6 +46,8 @@ from .policy import DecisionPolicy, Mode, check_compatibility, decide_from_vecto
 
 MAX_MESSAGE_BYTES = 1 << 20
 DEFAULT_TIMEOUT = 0.1
+# How often the accept loop checks for stop(): the longest stop() waits.
+STOP_POLL_SECONDS = 0.05
 
 
 def write_frame(stream, payload: bytes) -> None:
@@ -186,14 +188,9 @@ class _Handler(socketserver.StreamRequestHandler):
     def handle(self):
         server: PredictionServer = self.server  # type: ignore[assignment]
         rng = np.random.default_rng([server.seed, server.next_connection_id()])
-        self.connection.settimeout(0.5)
         while True:
             try:
                 payload = read_frame(self.rfile)
-            except socket.timeout:
-                if server.stopping:
-                    break
-                continue
             except (ProtocolError, OSError):
                 break
             if payload is None:
@@ -227,15 +224,27 @@ class PredictionServer(socketserver.ThreadingTCPServer):
         self.policy = policy
         self.seed = seed
         self.model_version = net.model_version()
-        self.stopping = False
         self._conn_counter = itertools.count()
         self._conn_lock = threading.Lock()
+        self._connections: set[socket.socket] = set()
         self._thread: threading.Thread | None = None
         super().__init__(address, _Handler)
 
     def next_connection_id(self) -> int:
         with self._conn_lock:
             return next(self._conn_counter)
+
+    def process_request(self, request, client_address) -> None:
+        # Runs on the accept thread, so every connection is tracked before
+        # shutdown() returns.
+        with self._conn_lock:
+            self._connections.add(request)
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request) -> None:
+        with self._conn_lock:
+            self._connections.discard(request)
+        super().shutdown_request(request)
 
     def answer(self, payload: bytes, rng: np.random.Generator) -> bytes:
         """One response frame for one request frame; never raises on bad
@@ -291,13 +300,21 @@ class PredictionServer(socketserver.ThreadingTCPServer):
 
     def start(self) -> None:
         """Serve on a background thread until stop()."""
-        self._thread = threading.Thread(target=self.serve_forever, daemon=True)
+        self._thread = threading.Thread(
+            target=self.serve_forever, args=(STOP_POLL_SECONDS,), daemon=True
+        )
         self._thread.start()
 
     def stop(self) -> None:
-        """Graceful shutdown: stop accepting, finish in-flight requests."""
-        self.stopping = True
+        """Graceful shutdown: stop accepting, finish in-flight requests, and
+        close idle connections at once."""
         self.shutdown()
+        # Ending each connection's read side wakes its handler, which
+        # server_close() joins; a reply being computed is still written.
+        with self._conn_lock:
+            for conn in self._connections:
+                with contextlib.suppress(OSError):
+                    conn.shutdown(socket.SHUT_RD)
         self.server_close()
         if self._thread is not None:
             self._thread.join()

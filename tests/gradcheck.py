@@ -1,8 +1,14 @@
-"""Finite-difference gradient oracle for the network tests."""
+"""Single-example gradients for the network tests, and the
+finite-difference oracle they are checked against."""
 
 import numpy as np
 
-from macronet.net import Network, forward, loss
+from macronet.net import Network, backward_batch, forward, loss
+
+
+def backward(net: Network, x: np.ndarray, target_class: int) -> np.ndarray:
+    """Gradient of the cross-entropy loss for one example, shaped like params."""
+    return backward_batch(net, np.asarray(x)[None, :], np.array([target_class]))[2]
 
 
 def finite_difference_gradients(

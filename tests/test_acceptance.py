@@ -10,7 +10,7 @@ import sys
 
 import numpy as np
 import pytest
-from gradcheck import finite_difference_gradients
+from gradcheck import backward, finite_difference_gradients
 
 from macronet.encoding import build_dataset, encode, parse_mask, write_dataset
 from macronet.errors import DegenerateDistributionError
@@ -18,7 +18,6 @@ from macronet.forward import initial_state
 from macronet.net import (
     NetworkTopology,
     adam_step,
-    backward,
     backward_batch,
     init_adam,
     init_network,

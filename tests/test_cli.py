@@ -300,21 +300,22 @@ def test_unknown_config_key_rejected(pipeline, tmp_path, capsys):
     assert "epoochs" in capsys.readouterr().err
 
 
-def _train_with_config(pipeline, tmp_path, values):
-    config = tmp_path / "train.json"
+def _main_with_config(tmp_path, argv, values):
+    config = tmp_path / "config.json"
     config.write_text(json.dumps(values))
-    return main(
-        [
-            "train",
-            "--dataset",
-            str(pipeline["dataset"]),
-            "--out",
-            str(tmp_path / "m.mnnet"),
-            "--config",
-            str(config),
-            "--json",
-        ]
-    )
+    return main(argv + ["--config", str(config)])
+
+
+def _train_with_config(pipeline, tmp_path, values):
+    argv = ["train", "--dataset", str(pipeline["dataset"]), "--out", str(tmp_path / "m.mnnet")]
+    return _main_with_config(tmp_path, argv + ["--json"], values)
+
+
+# Keys that train lacks, with the argv of a subcommand that has them.
+_OTHER_COMMAND_ARGV = {
+    "mode": ["simulate", "--matches", "1", "--frame-cap", "3000"],
+    "generator": ["synth", "--games", "1", "--out", "never-written"],
+}
 
 
 def test_config_values_convert_like_flags(pipeline, tmp_path, capsys):
@@ -336,19 +337,151 @@ def test_config_values_convert_like_flags(pipeline, tmp_path, capsys):
         ("batch_size", [100]),
         ("mask", True),
         ("json", "yes"),
+        ("mode", "bogus"),  # outside the flag's choices
+        ("generator", "nope"),
     ],
 )
 def test_config_values_of_the_wrong_type_rejected(pipeline, tmp_path, capsys, key, value):
-    assert _train_with_config(pipeline, tmp_path, {key: value}) == 1
+    if key in _OTHER_COMMAND_ARGV:
+        assert _main_with_config(tmp_path, _OTHER_COMMAND_ARGV[key], {key: value}) == 1
+    else:
+        assert _train_with_config(pipeline, tmp_path, {key: value}) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert repr(key) in err
 
 
+# Every subcommand's resolved options for an argv naming only its required
+# options: with no config file, and with a config that sets every other key to
+# a value that is not its default. Recorded from the table-driven merge that
+# the parser's own defaults replaced; both must resolve the same values.
+REQUIRED_ARGV = {
+    "extract": ["--events", "ev", "--out", "out.mnds"],
+    "synth": ["--out", "ev"],
+    "train": ["--dataset", "d.mnds", "--out", "m.mnnet"],
+    "eval": ["--dataset", "d.mnds", "--model", "m.mnnet"],
+    "ablate": ["--dataset", "d.mnds"],
+    "analyze": ["--dataset", "d.mnds", "--model", "m.mnnet", "--out", "c.csv"],
+    "simulate": [],
+    "serve": ["--model", "m.mnnet"],
+}
+_TRAIN_VALUES = {
+    "epochs": 3, "batch_size": 17, "learning_rate": 0.01, "seed": 5, "mask": "a+b",
+    "split_fraction": 0.5,
+}
+_POLICY_CONFIG = {
+    "mode": "probabilistic", "blind": True, "exclude": "default", "policy_seed": 6,
+}
+FULL_CONFIG = {
+    "extract": {"catalog": "c.txt", "norms": "n.txt", "json": True},
+    "synth": {
+        "catalog": "c.txt", "generator": "fixed", "games": 7, "seed": 3, "p_first": 0.25,
+        "script": "probe,pylon", "json": True,
+    },
+    "train": {**_TRAIN_VALUES, "no_split": True, "json": True},
+    "eval": {"split_fraction": 0.6, "all": True, "seed": 2, "json": True},
+    "ablate": {"masks": "a,a+b", "repeats": 2, **_TRAIN_VALUES, "json": True},
+    "analyze": {"catalog": "c.txt", "norms": "n.txt", "json": True},
+    "simulate": {
+        "catalog": "c.txt", "norms": "n.txt", "a": "worker-only", "b": "random",
+        "matches": 3, "seed": 4, "frame_cap": 1000, **_POLICY_CONFIG, "json": True,
+    },
+    "serve": {
+        "catalog": "c.txt", "norms": "n.txt", "bind": "0.0.0.0:9999", "seed": 1,
+        **_POLICY_CONFIG,
+    },
+}
+PINNED_RESOLVED = {
+    ("extract", False): {
+        "catalog": None, "events": "ev", "json": False, "norms": None, "out": "out.mnds",
+    },
+    ("extract", True): {
+        "catalog": "c.txt", "events": "ev", "json": True, "norms": "n.txt", "out": "out.mnds",
+    },
+    ("synth", False): {
+        "catalog": None, "games": 100, "generator": "reactive", "json": False, "out": "ev",
+        "p_first": 0.7, "script": "", "seed": 0,
+    },
+    ("synth", True): {
+        "catalog": "c.txt", "games": 7, "generator": "fixed", "json": True, "out": "ev",
+        "p_first": 0.25, "script": "probe,pylon", "seed": 3,
+    },
+    ("train", False): {
+        "batch_size": 100, "dataset": "d.mnds", "epochs": 50, "json": False,
+        "learning_rate": 0.0001, "mask": "a+b+c+d+e", "no_split": False, "out": "m.mnnet",
+        "seed": 0, "split_fraction": 0.8,
+    },
+    ("train", True): {
+        "batch_size": 17, "dataset": "d.mnds", "epochs": 3, "json": True,
+        "learning_rate": 0.01, "mask": "a+b", "no_split": True, "out": "m.mnnet",
+        "seed": 5, "split_fraction": 0.5,
+    },
+    ("eval", False): {
+        "all": False, "dataset": "d.mnds", "json": False, "model": "m.mnnet", "seed": 0,
+        "split_fraction": 0.8,
+    },
+    ("eval", True): {
+        "all": True, "dataset": "d.mnds", "json": True, "model": "m.mnnet", "seed": 2,
+        "split_fraction": 0.6,
+    },
+    ("ablate", False): {
+        "batch_size": 100, "dataset": "d.mnds", "epochs": 50, "json": False,
+        "learning_rate": 0.0001, "mask": "a+b+c+d+e", "masks": "a,a+d,a+b+c+e,a+b+c+d+e",
+        "repeats": 5, "seed": 0, "split_fraction": 0.8,
+    },
+    ("ablate", True): {
+        "batch_size": 17, "dataset": "d.mnds", "epochs": 3, "json": True,
+        "learning_rate": 0.01, "mask": "a+b", "masks": "a,a+b", "repeats": 2, "seed": 5,
+        "split_fraction": 0.5,
+    },
+    ("analyze", False): {
+        "catalog": None, "dataset": "d.mnds", "json": False, "model": "m.mnnet",
+        "norms": None, "out": "c.csv",
+    },
+    ("analyze", True): {
+        "catalog": "c.txt", "dataset": "d.mnds", "json": True, "model": "m.mnnet",
+        "norms": "n.txt", "out": "c.csv",
+    },
+    ("simulate", False): {
+        "a": "worker-then-army", "b": "worker-then-army", "blind": False, "catalog": None,
+        "exclude": "", "frame_cap": 28800, "json": False, "matches": 20, "mode": "greedy",
+        "norms": None, "policy_seed": 0, "seed": 0,
+    },
+    ("simulate", True): {
+        "a": "worker-only", "b": "random", "blind": True, "catalog": "c.txt",
+        "exclude": "default", "frame_cap": 1000, "json": True, "matches": 3,
+        "mode": "probabilistic", "norms": "n.txt", "policy_seed": 6, "seed": 4,
+    },
+    ("serve", False): {
+        "bind": "127.0.0.1:7777", "blind": False, "catalog": None, "exclude": "",
+        "mode": "greedy", "model": "m.mnnet", "norms": None, "policy_seed": 0, "seed": 0,
+    },
+    ("serve", True): {
+        "bind": "0.0.0.0:9999", "blind": True, "catalog": "c.txt", "exclude": "default",
+        "mode": "probabilistic", "model": "m.mnnet", "norms": "n.txt", "policy_seed": 6,
+        "seed": 1,
+    },
+}
+
+
+@pytest.mark.parametrize("command, with_config", sorted(PINNED_RESOLVED))
+def test_resolved_options_are_pinned(tmp_path, monkeypatch, command, with_config):
+    seen = {}
+    monkeypatch.setattr(cli, f"cmd_{command}", lambda args: seen.update(vars(args)) or 0)
+    argv = [command, *REQUIRED_ARGV[command]]
+    if with_config:
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(FULL_CONFIG[command]))
+        argv += ["--config", str(config)]
+    assert main(argv) == 0
+    resolved = {k: v for k, v in seen.items() if k not in ("fn", "command", "config")}
+    assert resolved == PINNED_RESOLVED[command, with_config]
+
+
 def test_train_defaults_come_from_train_config():
     config = TrainConfig()
     for command in ("train", "ablate"):
-        defaults = cli._DEFAULTS[command]
+        defaults = vars(cli.build_parser().parse_args([command]))
         assert defaults["epochs"] == config.epochs
         assert defaults["batch_size"] == config.batch_size
         assert defaults["learning_rate"] == config.learning_rate

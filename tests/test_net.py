@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gradcheck import finite_difference_gradients
+from gradcheck import backward, finite_difference_gradients
 from macronet.encoding import FeatureGroupMask, parse_mask
 from macronet.errors import FormatError
 from macronet.net import (
@@ -16,7 +16,6 @@ from macronet.net import (
     Network,
     NetworkTopology,
     adam_step,
-    backward,
     backward_batch,
     batch_loss,
     forward,

@@ -318,6 +318,41 @@ def test_connection_refused_is_protocol_error():
         client_predict(address, {"request_id": "nobody-home"}, timeout=0.5)
 
 
+# -- connection lifetime ------------------------------------------------------------
+
+
+def test_connection_survives_an_idle_gap(server, catalog, norms):
+    request = {"vector": initial_vector(catalog, norms)}
+    with PredictionClient(server.server_address, timeout=1.0) as client:
+        assert "error" not in client.predict(request)
+        time.sleep(0.8)
+        assert "error" not in client.predict(request)
+
+
+def test_frame_split_by_a_pause_is_answered(server, catalog, norms):
+    payload = json.dumps({"request_id": "slow", "vector": initial_vector(catalog, norms)})
+    with PredictionClient(server.server_address, timeout=2.0) as client:
+        client._sock.sendall(struct.pack(">I", len(payload)))
+        time.sleep(0.7)
+        client._sock.sendall(payload.encode("utf-8"))
+        reply = read_frame(client._stream)
+    assert reply is not None
+    assert json.loads(reply)["request_id"] == "slow"
+
+
+def test_stop_is_prompt_with_an_idle_client(service_net, catalog, norms):
+    srv = PredictionServer(service_net, catalog, norms)
+    srv.start()
+    with PredictionClient(srv.server_address, timeout=1.0) as client:
+        assert "error" not in client.predict({"vector": initial_vector(catalog, norms)})
+        started = time.perf_counter()
+        srv.stop()
+        elapsed = time.perf_counter() - started
+        with pytest.raises(ProtocolError, match="closed the connection"):
+            client.predict({"vector": initial_vector(catalog, norms)})
+    assert elapsed < 0.25
+
+
 # -- concurrency and latency -------------------------------------------------------
 
 
