@@ -10,8 +10,6 @@ either in-process or over the framed prediction service.
 from .catalog import (
     BuildCatalog,
     BuildKind,
-    BuildSpec,
-    EnemySpec,
     load_catalog,
     load_default_catalog,
     output_index,
@@ -50,7 +48,6 @@ from .errors import (
 from .events import EventKind, EventLog, GameEvent, parse_event_log, write_event_log
 from .forward import (
     MacroState,
-    StateActionPair,
     advance,
     apply_event,
     extract_pairs,
@@ -58,7 +55,6 @@ from .forward import (
     replay,
 )
 from .net import (
-    AdamState,
     ModelMeta,
     Network,
     NetworkTopology,
@@ -84,12 +80,9 @@ from .policy import (
 from .service import PredictionClient, PredictionServer, client_predict
 from .simulate import (
     FixedScript,
-    MatchResult,
     MatchRules,
-    MatchSeries,
     NetworkPlayer,
     ReactiveScript,
-    ScriptedPlayer,
     TwoBranchScript,
     Winner,
     bayes_top1_error,

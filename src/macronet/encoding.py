@@ -527,17 +527,3 @@ def read_dataset(source) -> Dataset:
         raise FormatError("trailing bytes after last game record")
     return Dataset(games=tuple(games), catalog_hash=catalog_hash, norms_hash=norms_hash)
 
-
-def export_dataset_text(dataset: Dataset, sink) -> None:
-    """Plain-text debugging dump: one 'game' header per game, then one line
-    per pair with the action index followed by all 210 feature values."""
-    write = sink.write
-    write(f"# dataset: {len(dataset.games)} games, {dataset.n_pairs} pairs\n")
-    write(f"# catalog_hash: {dataset.catalog_hash} norms_hash: {dataset.norms_hash}\n")
-    for game in dataset.games:
-        write(f"game {game.game_id} {len(game.actions)}\n")
-        for action, row in zip(game.actions, game.vectors):
-            write(str(int(action)))
-            write(" ")
-            write(" ".join(repr(float(x)) for x in row))
-            write("\n")

@@ -15,9 +15,10 @@ Response fields:
 Errors come back as {request_id, error: {kind, message}} and leave the
 connection usable.
 
-The model is immutable and shared across connections; the only per-request
-state is each connection's rng stream, seeded from (server seed,
-connection id) so sampled decisions are reproducible from logs.
+One selectors loop on one thread serves every connection, up to
+MAX_CONNECTIONS, and does not read a connection while a reply to it waits to
+be sent. The model is immutable; each connection's rng stream is seeded from
+(server seed, accept order) so sampled decisions are reproducible from logs.
 """
 
 from __future__ import annotations
@@ -25,8 +26,8 @@ from __future__ import annotations
 import contextlib
 import itertools
 import json
+import selectors
 import socket
-import socketserver
 import struct
 import threading
 import time
@@ -35,19 +36,17 @@ import numpy as np
 
 from .catalog import BuildCatalog
 from .encoding import N_FEATURES, NormalizationTable, encode
-from .errors import (
-    ClientTimeout,
-    DegenerateDistributionError,
-    ProtocolError,
-)
+from .errors import ClientTimeout, DegenerateDistributionError, ProtocolError
 from .forward import MacroState
 from .net import Network
 from .policy import DecisionPolicy, Mode, check_compatibility, decide_from_vector
 
 MAX_MESSAGE_BYTES = 1 << 20
 DEFAULT_TIMEOUT = 0.1
-# How often the accept loop checks for stop(): the longest stop() waits.
-STOP_POLL_SECONDS = 0.05
+# Open connections per server. The listen backlog is the same, so a burst of
+# that many connects is queued whole instead of waiting on SYN retransmits.
+MAX_CONNECTIONS = 64
+_RECV_BYTES = 1 << 16
 
 
 def write_frame(stream, payload: bytes) -> None:
@@ -58,6 +57,13 @@ def write_frame(stream, payload: bytes) -> None:
     stream.flush()
 
 
+def _frame_length(header) -> int:
+    (length,) = struct.unpack_from(">I", header)
+    if length > MAX_MESSAGE_BYTES:
+        raise ProtocolError(f"frame of {length} bytes exceeds the frame limit")
+    return length
+
+
 def read_frame(stream) -> bytes | None:
     """One framed payload, or None on clean end-of-stream. A stream that
     ends mid-frame is a protocol error."""
@@ -66,9 +72,7 @@ def read_frame(stream) -> bytes | None:
         return None
     if len(header) < 4:
         raise ProtocolError("stream ended inside a frame header")
-    (length,) = struct.unpack(">I", header)
-    if length > MAX_MESSAGE_BYTES:
-        raise ProtocolError(f"frame of {length} bytes exceeds the frame limit")
+    length = _frame_length(header)
     payload = stream.read(length)
     if len(payload) < length:
         raise ProtocolError("stream ended inside a frame body")
@@ -181,32 +185,8 @@ def _vector_from_json(obj) -> np.ndarray:
     return vec
 
 
-class _Handler(socketserver.StreamRequestHandler):
-    # Nagle + delayed ACK stalls the two-write frame pattern by ~40ms
-    disable_nagle_algorithm = True
-
-    def handle(self):
-        server: PredictionServer = self.server  # type: ignore[assignment]
-        rng = np.random.default_rng([server.seed, server.next_connection_id()])
-        while True:
-            try:
-                payload = read_frame(self.rfile)
-            except (ProtocolError, OSError):
-                break
-            if payload is None:
-                break
-            try:
-                write_frame(self.wfile, server.answer(payload, rng))
-            except OSError:
-                break
-
-
-class PredictionServer(socketserver.ThreadingTCPServer):
+class PredictionServer:
     """Serves one immutable model over the framed protocol."""
-
-    allow_reuse_address = True
-    daemon_threads = False
-    block_on_close = True
 
     def __init__(
         self,
@@ -224,27 +204,14 @@ class PredictionServer(socketserver.ThreadingTCPServer):
         self.policy = policy
         self.seed = seed
         self.model_version = net.model_version()
-        self._conn_counter = itertools.count()
-        self._conn_lock = threading.Lock()
-        self._connections: set[socket.socket] = set()
+        self.socket = socket.create_server(address, backlog=MAX_CONNECTIONS)
+        self.socket.setblocking(False)
+        self.server_address = self.socket.getsockname()
+        self._wake_r, self._wake_w = socket.socketpair()
+        self._sel = selectors.DefaultSelector()
+        self._sel.register(self.socket, selectors.EVENT_READ)
+        self._sel.register(self._wake_r, selectors.EVENT_READ)
         self._thread: threading.Thread | None = None
-        super().__init__(address, _Handler)
-
-    def next_connection_id(self) -> int:
-        with self._conn_lock:
-            return next(self._conn_counter)
-
-    def process_request(self, request, client_address) -> None:
-        # Runs on the accept thread, so every connection is tracked before
-        # shutdown() returns.
-        with self._conn_lock:
-            self._connections.add(request)
-        super().process_request(request, client_address)
-
-    def shutdown_request(self, request) -> None:
-        with self._conn_lock:
-            self._connections.discard(request)
-        super().shutdown_request(request)
 
     def answer(self, payload: bytes, rng: np.random.Generator) -> bytes:
         """One response frame for one request frame; never raises on bad
@@ -296,29 +263,83 @@ class PredictionServer(socketserver.ThreadingTCPServer):
             }
         return json.dumps(body).encode("utf-8")
 
+    def _serve_forever(self) -> None:
+        accepted = itertools.count()
+        while True:
+            for key, _ in self._sel.select():
+                if key.fileobj is self._wake_r:
+                    return
+                if key.fileobj is self.socket:
+                    self._accept(accepted)
+                else:
+                    self._serve(key)
+
+    def _accept(self, accepted: itertools.count) -> None:
+        try:
+            sock, _ = self.socket.accept()
+        except OSError:  # the client reset before the accept
+            return
+        if len(self._sel.get_map()) - 2 >= MAX_CONNECTIONS:  # less listener and wake socket
+            sock.close()
+            return
+        sock.setblocking(False)
+        # Nagle + delayed ACK stalls the client's two-write frame pattern by ~40ms
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        # Per connection: rng stream, bytes not yet answered, reply bytes not yet sent
+        rng = np.random.default_rng([self.seed, next(accepted)])
+        self._sel.register(sock, selectors.EVENT_READ, (rng, bytearray(), bytearray()))
+
+    def _serve(self, key: selectors.SelectorKey) -> None:
+        """Send or receive what one ready connection allows, then answer its
+        whole frames while no reply waits to be sent: a client that does not
+        read its replies is not read either."""
+        sock, (rng, inbox, outbox) = key.fileobj, key.data
+        try:
+            if outbox:
+                del outbox[: sock.send(outbox)]
+            else:
+                data = sock.recv(_RECV_BYTES)
+                if not data:
+                    raise ConnectionError("the client closed the connection")
+                inbox += data
+            while not outbox and len(inbox) >= 4:
+                length = _frame_length(inbox)
+                if len(inbox) < 4 + length:
+                    break
+                reply = self.answer(bytes(inbox[4 : 4 + length]), rng)
+                del inbox[: 4 + length]
+                outbox += struct.pack(">I", len(reply)) + reply
+                del outbox[: sock.send(outbox)]
+        except BlockingIOError:
+            pass
+        except (OSError, ProtocolError):
+            self._sel.unregister(sock)
+            sock.close()
+            return
+        self._sel.modify(sock, selectors.EVENT_WRITE if outbox else selectors.EVENT_READ, key.data)
+
     # -- lifecycle ------------------------------------------------------------
 
     def start(self) -> None:
         """Serve on a background thread until stop()."""
-        self._thread = threading.Thread(
-            target=self.serve_forever, args=(STOP_POLL_SECONDS,), daemon=True
-        )
+        self._thread = threading.Thread(target=self._serve_forever, daemon=True)
         self._thread.start()
 
     def stop(self) -> None:
-        """Graceful shutdown: stop accepting, finish in-flight requests, and
-        close idle connections at once."""
-        self.shutdown()
-        # Ending each connection's read side wakes its handler, which
-        # server_close() joins; a reply being computed is still written.
-        with self._conn_lock:
-            for conn in self._connections:
-                with contextlib.suppress(OSError):
-                    conn.shutdown(socket.SHUT_RD)
-        self.server_close()
+        """Graceful shutdown: the reply being computed is still sent, then
+        the server stops accepting and closes every connection."""
         if self._thread is not None:
+            self._wake_w.send(b"\0")
             self._thread.join()
             self._thread = None
+        self.server_close()
+
+    def server_close(self) -> None:
+        """Close the listener and every connection, also of a server never started."""
+        for key in (self._sel.get_map() or {}).values():
+            key.fileobj.close()
+        self._sel.close()
+        self._wake_w.close()
 
     def __enter__(self) -> "PredictionServer":
         self.start()

@@ -3,6 +3,7 @@ import csv
 import hashlib
 import io
 import json
+import socket
 from pathlib import Path
 
 import pytest
@@ -614,6 +615,14 @@ def test_serve_rejects_bad_bind(pipeline, capsys):
         ["serve", "--model", str(pipeline["model"]), "--bind", "not-an-address"]
     )
     assert code == 1
+
+
+def test_serve_on_a_port_in_use_fails(pipeline, capsys):
+    with socket.create_server(("127.0.0.1", 0)) as listener:
+        host, port = listener.getsockname()
+        code = main(["serve", "--model", str(pipeline["model"]), "--bind", f"{host}:{port}"])
+    assert code == 1
+    assert f"cannot bind {host}:{port}" in capsys.readouterr().err
 
 
 # -- behavioral analysis on the acceptance corpus -----------------------------------

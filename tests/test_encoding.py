@@ -352,10 +352,3 @@ def test_build_dataset_preserves_game_order(catalog, norms, small_logs):
     assert [g.game_id for g in ds.games] == [l.game_id for l in small_logs]
     assert ds.n_pairs == sum(l.produced_count() for l in small_logs)
 
-
-def test_export_text_contains_hashes(small_dataset):
-    buf = io.StringIO()
-    encoding.export_dataset_text(small_dataset, buf)
-    text = buf.getvalue()
-    assert small_dataset.catalog_hash in text
-    assert small_dataset.games[0].game_id in text

@@ -1,5 +1,6 @@
 import io
 import json
+import select
 import socket
 import struct
 import threading
@@ -8,6 +9,7 @@ import time
 import numpy as np
 import pytest
 
+from macronet import service
 from macronet.encoding import encode
 from macronet.errors import (
     ClientTimeout,
@@ -18,6 +20,7 @@ from macronet.forward import initial_state
 from macronet.net import ModelMeta, init_network
 from macronet.policy import DecisionPolicy, Mode
 from macronet.service import (
+    DEFAULT_TIMEOUT,
     MAX_MESSAGE_BYTES,
     PredictionClient,
     PredictionServer,
@@ -351,6 +354,83 @@ def test_stop_is_prompt_with_an_idle_client(service_net, catalog, norms):
         with pytest.raises(ProtocolError, match="closed the connection"):
             client.predict({"vector": initial_vector(catalog, norms)})
     assert elapsed < 0.25
+
+
+# -- connection limits ----------------------------------------------------------
+
+
+def test_burst_of_connects_is_accepted_at_once(server):
+    socks, slowest = [], 0.0
+    try:
+        for _ in range(12):
+            started = time.perf_counter()
+            socks.append(socket.create_connection(server.server_address, timeout=5.0))
+            slowest = max(slowest, time.perf_counter() - started)
+    finally:
+        for sock in socks:
+            sock.close()
+    assert slowest < DEFAULT_TIMEOUT
+
+
+def test_idle_connections_hold_no_threads(server, catalog, norms):
+    request = {"vector": initial_vector(catalog, norms)}
+    before = threading.active_count()
+    clients = [PredictionClient(server.server_address, timeout=1.0) for _ in range(12)]
+    try:
+        for client in clients:
+            assert "error" not in client.predict(request)
+        assert threading.active_count() == before
+    finally:
+        for client in clients:
+            client.close()
+
+
+def test_connections_past_the_cap_are_closed(monkeypatch, service_net, catalog, norms):
+    monkeypatch.setattr(service, "MAX_CONNECTIONS", 4)
+    request = {"vector": initial_vector(catalog, norms)}
+    with PredictionServer(service_net, catalog, norms) as srv:
+        clients = [PredictionClient(srv.server_address, timeout=1.0) for _ in range(4)]
+        try:
+            for client in clients:
+                assert "error" not in client.predict(request)
+            with socket.create_connection(srv.server_address, timeout=1.0) as fifth:
+                assert fifth.recv(1) == b""  # closed without a request sent
+            for client in clients:
+                assert "error" not in client.predict(request)
+            clients.pop().close()
+            for attempt in range(10):  # the loop may see the connect before the close
+                time.sleep(0.1)
+                try:
+                    with PredictionClient(srv.server_address, timeout=1.0) as late:
+                        assert "error" not in late.predict(request)
+                    break
+                except (ProtocolError, OSError):
+                    assert attempt < 9, "no connection accepted after one closed"
+        finally:
+            for client in clients:
+                client.close()
+
+
+def test_a_client_that_never_reads_stalls_no_one_else(server, catalog, norms):
+    frame = json.dumps({"vector": initial_vector(catalog, norms)}).encode("utf-8")
+    frame = struct.pack(">I", len(frame)) + frame
+    with socket.socket() as hog:
+        hog.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+        hog.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 16384)
+        hog.connect(server.server_address)
+        hog.setblocking(False)
+        pending = memoryview(frame * 6000)
+        # Pipeline requests until the server has stopped taking them for 0.5 s.
+        while pending and select.select([], [hog], [], 0.5)[1]:
+            pending = pending[hog.send(pending[:65536]) :]
+        assert pending, "the server read every request with none of its replies read"
+        request = {"vector": initial_vector(catalog, norms)}
+        with PredictionClient(server.server_address, timeout=1.0) as other:
+            assert "error" not in other.predict(request)
+            with socket.create_connection(server.server_address, timeout=1.0) as bad:
+                bad.sendall(struct.pack(">I", MAX_MESSAGE_BYTES + 1))
+                assert bad.recv(1) == b""
+            assert "error" not in other.predict(request)
 
 
 # -- concurrency and latency -------------------------------------------------------
