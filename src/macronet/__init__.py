@@ -12,7 +12,6 @@ from .catalog import (
     BuildKind,
     load_catalog,
     load_default_catalog,
-    output_index,
     write_catalog,
 )
 from .encoding import (
@@ -80,7 +79,6 @@ from .policy import (
 from .service import PredictionClient, PredictionServer, client_predict
 from .simulate import (
     FixedScript,
-    MatchRules,
     NetworkPlayer,
     ReactiveScript,
     TwoBranchScript,

@@ -154,15 +154,6 @@ class BuildCatalog:
         return hashlib.sha256(buf.getvalue()).hexdigest()[:16]
 
 
-def output_index(catalog: BuildCatalog, build_id: int) -> int:
-    """Position of a build in the state vector's own-count block and in the
-    network's output layer. Ids are dense and assigned in file order, so this
-    is the identity on valid ids; kept as a function for the lookup guard."""
-    if not 0 <= build_id < len(catalog.builds):
-        raise KeyError(f"unknown build id {build_id}")
-    return build_id
-
-
 # ---------------------------------------------------------------------------
 # File format
 #
@@ -175,11 +166,52 @@ def output_index(catalog: BuildCatalog, build_id: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _decode_lines(source) -> list[str]:
+def read_lines(source):
+    """Yield (line number, stripped line) for each line of a byte or text
+    stream that is neither blank nor a '#' comment. Bytes decode as UTF-8."""
     data = source.read()
     if isinstance(data, bytes):
         data = data.decode("utf-8")
-    return data.split("\n")
+    for lineno, raw in enumerate(data.split("\n"), start=1):
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            yield lineno, line
+
+
+def read_sections(source, names) -> dict[str, list[tuple[int, str]]]:
+    """The (line number, line) entries of a file of ``[section]`` blocks,
+    keyed by section in file order. Each section may appear once, and only
+    the given names are allowed."""
+    sections: dict[str, list[tuple[int, str]]] = {}
+    current = None
+    for lineno, line in read_lines(source):
+        if line.startswith("[") and line.endswith("]"):
+            name = line[1:-1].strip()
+            if name not in names:
+                raise ParseError(f"unknown section [{name}]", lineno)
+            if name in sections:
+                raise ParseError(f"duplicate section [{name}]", lineno)
+            current = sections[name] = []
+        elif current is None:
+            raise ParseError("entry before any section header", lineno)
+        else:
+            current.append((lineno, line))
+    return sections
+
+
+def write_text(sink, text: str) -> None:
+    """Write text to a byte sink as UTF-8, or to a text sink as is."""
+    try:
+        sink.write(text.encode("utf-8"))
+    except TypeError:
+        sink.write(text)
+
+
+def open_packaged(name: str):
+    """Open one of the data files shipped with the package, in binary mode."""
+    from importlib import resources
+
+    return (resources.files(__package__) / "data" / name).open("rb")
 
 
 def load_catalog(source) -> BuildCatalog:
@@ -188,32 +220,11 @@ def load_catalog(source) -> BuildCatalog:
     Raises ParseError for malformed syntax (with the line number) and
     SchemaError when a group has the wrong number of entries.
     """
-    sections: dict[str, list[tuple[int, str]]] = {s: [] for s in _SECTIONS}
-    current: str | None = None
-    seen: list[str] = []
-    lines = _decode_lines(source)
-    any_content = False
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        any_content = True
-        if line.startswith("[") and line.endswith("]"):
-            name = line[1:-1].strip()
-            if name not in _SECTIONS:
-                raise ParseError(f"unknown section [{name}]", lineno)
-            if name in seen:
-                raise ParseError(f"duplicate section [{name}]", lineno)
-            seen.append(name)
-            current = name
-            continue
-        if current is None:
-            raise ParseError("entry before any section header", lineno)
-        sections[current].append((lineno, line))
-    if not any_content:
+    sections = read_sections(source, _SECTIONS)
+    if not sections:
         raise ParseError("empty catalog file")
     for name in _SECTIONS:
-        if name not in seen:
+        if name not in sections:
             raise SchemaError(f"{name}: missing section")
         got = len(sections[name])
         want = _GROUP_SIZES[name]
@@ -252,7 +263,7 @@ def load_catalog(source) -> BuildCatalog:
             mineral, gas, frames, sup_cost, sup_prov = (int(f) for f in fields[1:6])
         except ValueError:
             raise ParseError(f"non-integer numeric field in {line!r}", lineno) from None
-        if mineral < 0 or gas < 0 or sup_prov < 0:
+        if min(mineral, gas, sup_cost, sup_prov) < 0:
             raise SchemaError(f"line {lineno}: negative cost for {fields[0]!r}")
         if frames < 1:
             raise SchemaError(f"line {lineno}: build_frames must be >= 1 for {fields[0]!r}")
@@ -299,33 +310,25 @@ def load_catalog(source) -> BuildCatalog:
 
 def write_catalog(catalog: BuildCatalog, sink) -> None:
     """Serialize in the canonical form load_catalog parses. Deterministic."""
-    out = io.StringIO()
+    lines = []
     for section, group in (
         ("units_buildings", catalog.units_buildings),
         ("technologies", catalog.technologies),
         ("upgrades", catalog.upgrades),
     ):
-        out.write(f"[{section}]\n")
+        lines.append(f"[{section}]\n")
         for b in group:
             prereqs = "|".join(catalog.builds[p].name for p in b.prerequisites)
-            out.write(
+            lines.append(
                 f"{b.name}, {b.mineral_cost}, {b.gas_cost}, {b.build_frames}, "
                 f"{b.supply_cost}, {b.supply_provided}, {prereqs}\n"
             )
-    out.write("[enemy_types]\n")
-    for e in catalog.enemy_types:
-        out.write(f"{e.name}\n")
-    data = out.getvalue().encode("utf-8")
-    try:
-        sink.write(data)
-    except TypeError:
-        sink.write(data.decode("utf-8"))
+    lines.append("[enemy_types]\n")
+    lines += (f"{e.name}\n" for e in catalog.enemy_types)
+    write_text(sink, "".join(lines))
 
 
 def load_default_catalog() -> BuildCatalog:
     """The packaged Protoss-vs-Terran catalog."""
-    from importlib import resources
-
-    ref = resources.files(__package__) / "data" / DEFAULT_CATALOG_RESOURCE
-    with ref.open("rb") as f:
+    with open_packaged(DEFAULT_CATALOG_RESOURCE) as f:
         return load_catalog(f)

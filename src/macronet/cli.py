@@ -349,9 +349,8 @@ def cmd_simulate(args) -> int:
     norms = _load_norms(args.norms, catalog)
     player_a = _make_player(args.a, args, catalog, norms)
     player_b = _make_player(args.b, args, catalog, norms)
-    rules = simulate.MatchRules(frame_cap=args.frame_cap)
     series = simulate.run_matches(
-        player_a, player_b, catalog, args.matches, rules, seed=args.seed
+        player_a, player_b, catalog, args.matches, seed=args.seed, frame_cap=args.frame_cap
     )
     lines = [
         f"A = {player_a.name}, B = {player_b.name}, {series.n} matches",
@@ -511,7 +510,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--matches", type=int, default=20)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--frame-cap", type=int, dest="frame_cap", default=28800)
+    p.add_argument("--frame-cap", type=int, dest="frame_cap", default=simulate.FRAME_CAP)
     _add_policy_flags(p)
 
     p = command("serve", cmd_serve, "run the prediction service", json_flag=False)

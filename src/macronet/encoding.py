@@ -22,8 +22,8 @@ matchups can retune without code changes.
 from __future__ import annotations
 
 import hashlib
-import io
 import logging
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -36,6 +36,9 @@ from .catalog import (
     N_UNITS_BUILDINGS,
     N_UPGRADES,
     BuildCatalog,
+    open_packaged,
+    read_sections,
+    write_text,
 )
 from .errors import FormatError, ParseError, SchemaError
 from .forward import MacroState, extract_pairs
@@ -97,37 +100,27 @@ def load_norms(source, catalog: BuildCatalog) -> NormalizationTable:
 
     Format mirrors the catalog file: sections ``[units_buildings]``,
     ``[technologies]``, ``[upgrades]``, ``[enemy_types]`` with ``name, cap``
-    lines, plus ``[supply]`` with a single ``supply, <cap>`` line.
+    lines, plus ``[supply]`` with a single ``supply, <cap>`` line. Each
+    section appears at most once, and every cap is finite and positive.
     """
-    data = source.read()
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
+    sections = read_sections(source, _NORM_SECTIONS)
     entries: dict[str, dict[str, float]] = {s: {} for s in _NORM_SECTIONS}
-    current: str | None = None
-    for lineno, raw in enumerate(data.split("\n"), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if line.startswith("[") and line.endswith("]"):
-            name = line[1:-1].strip()
-            if name not in _NORM_SECTIONS:
-                raise ParseError(f"unknown section [{name}]", lineno)
-            current = name
-            continue
-        if current is None:
-            raise ParseError("entry before any section header", lineno)
-        parts = [p.strip() for p in line.split(",")]
-        if len(parts) != 2:
-            raise ParseError(f"expected 'name, cap', got {line!r}", lineno)
-        try:
-            cap = float(parts[1])
-        except ValueError:
-            raise ParseError(f"bad cap {parts[1]!r}", lineno) from None
-        if cap <= 0:
-            raise SchemaError(f"line {lineno}: cap must be positive, got {cap}")
-        if parts[0] in entries[current]:
-            raise ParseError(f"duplicate entry {parts[0]!r}", lineno)
-        entries[current][parts[0]] = cap
+    for section, lines in sections.items():
+        for lineno, line in lines:
+            parts = [p.strip() for p in line.split(",")]
+            if len(parts) != 2:
+                raise ParseError(f"expected 'name, cap', got {line!r}", lineno)
+            try:
+                cap = float(parts[1])
+            except ValueError:
+                raise ParseError(f"bad cap {parts[1]!r}", lineno) from None
+            if not 0.0 < cap < math.inf:
+                raise SchemaError(
+                    f"line {lineno}: cap must be finite and positive, got {cap}"
+                )
+            if parts[0] in entries[section]:
+                raise ParseError(f"duplicate entry {parts[0]!r}", lineno)
+            entries[section][parts[0]] = cap
 
     own_caps = np.zeros(N_OWN_BUILDS, dtype=np.float64)
     for section, group in (
@@ -167,32 +160,22 @@ def write_norms(norms: NormalizationTable, catalog: BuildCatalog, sink) -> None:
     def fmt(x: float) -> str:
         return repr(int(x)) if float(x).is_integer() else repr(float(x))
 
-    out = io.StringIO()
+    lines = []
     for section, group in (
         ("units_buildings", catalog.units_buildings),
         ("technologies", catalog.technologies),
         ("upgrades", catalog.upgrades),
     ):
-        out.write(f"[{section}]\n")
-        for spec in group:
-            out.write(f"{spec.name}, {fmt(norms.own_caps[spec.id])}\n")
-    out.write("[enemy_types]\n")
-    for spec in catalog.enemy_types:
-        out.write(f"{spec.name}, {fmt(norms.enemy_caps[spec.id])}\n")
-    out.write("[supply]\n")
-    out.write(f"supply, {fmt(norms.supply_cap)}\n")
-    data = out.getvalue().encode("utf-8")
-    try:
-        sink.write(data)
-    except TypeError:
-        sink.write(data.decode("utf-8"))
+        lines.append(f"[{section}]\n")
+        lines += (f"{spec.name}, {fmt(norms.own_caps[spec.id])}\n" for spec in group)
+    lines.append("[enemy_types]\n")
+    lines += (f"{spec.name}, {fmt(norms.enemy_caps[spec.id])}\n" for spec in catalog.enemy_types)
+    lines.append(f"[supply]\nsupply, {fmt(norms.supply_cap)}\n")
+    write_text(sink, "".join(lines))
 
 
 def load_default_norms(catalog: BuildCatalog) -> NormalizationTable:
-    from importlib import resources
-
-    ref = resources.files(__package__) / "data" / DEFAULT_NORMS_RESOURCE
-    with ref.open("rb") as f:
+    with open_packaged(DEFAULT_NORMS_RESOURCE) as f:
         return load_norms(f, catalog)
 
 
@@ -393,15 +376,6 @@ class Dataset:
     catalog_hash: str = ""
     norms_hash: str = ""
 
-    def __eq__(self, other):
-        if not isinstance(other, Dataset):
-            return NotImplemented
-        return (
-            self.catalog_hash == other.catalog_hash
-            and self.norms_hash == other.norms_hash
-            and self.games == other.games
-        )
-
     @property
     def n_pairs(self) -> int:
         return sum(len(g.actions) for g in self.games)
@@ -445,20 +419,25 @@ _DATASET_MAGIC = b"MNDS"
 _DATASET_VERSION = 1
 
 
-def _write_str(out, s: str) -> None:
+def write_str(sink, s: str) -> None:
+    """A binary file's string field: a 2-byte length, then UTF-8 bytes."""
     data = s.encode("utf-8")
-    out.write(struct.pack(">H", len(data)))
-    out.write(data)
+    sink.write(struct.pack(">H", len(data)))
+    sink.write(data)
 
 
-class _Cursor:
-    def __init__(self, data: bytes):
+class Cursor:
+    """Reads a binary file's fields in order. Running past the end or a bad
+    string raises FormatError, which names the file's kind."""
+
+    def __init__(self, data: bytes, kind: str):
         self.data = data
+        self.kind = kind
         self.pos = 0
 
     def take(self, n: int) -> bytes:
         if self.pos + n > len(self.data):
-            raise FormatError("truncated dataset file")
+            raise FormatError(f"truncated {self.kind} file")
         chunk = self.data[self.pos : self.pos + n]
         self.pos += n
         return chunk
@@ -468,7 +447,10 @@ class _Cursor:
 
     def read_str(self) -> str:
         (n,) = self.unpack(">H")
-        return self.take(n).decode("utf-8")
+        try:
+            return self.take(n).decode("utf-8")
+        except UnicodeDecodeError:
+            raise FormatError(f"string field of the {self.kind} file is not UTF-8") from None
 
     def done(self) -> bool:
         return self.pos == len(self.data)
@@ -479,11 +461,11 @@ def write_dataset(dataset: Dataset, sink) -> None:
     vectors. Deterministic; round-trips through read_dataset."""
     sink.write(_DATASET_MAGIC)
     sink.write(struct.pack(">III", _DATASET_VERSION, N_FEATURES, N_CLASSES))
-    _write_str(sink, dataset.catalog_hash)
-    _write_str(sink, dataset.norms_hash)
+    write_str(sink, dataset.catalog_hash)
+    write_str(sink, dataset.norms_hash)
     sink.write(struct.pack(">I", len(dataset.games)))
     for game in dataset.games:
-        _write_str(sink, game.game_id)
+        write_str(sink, game.game_id)
         n = len(game.actions)
         if game.vectors.shape != (n, N_FEATURES):
             raise FormatError(
@@ -496,7 +478,7 @@ def write_dataset(dataset: Dataset, sink) -> None:
 
 
 def read_dataset(source) -> Dataset:
-    cur = _Cursor(source.read())
+    cur = Cursor(source.read(), "dataset")
     if cur.take(4) != _DATASET_MAGIC:
         raise FormatError("not a dataset file (bad magic)")
     version, n_features, n_classes = cur.unpack(">III")

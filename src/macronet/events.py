@@ -21,10 +21,9 @@ production (the mind-control case) never parses.
 from __future__ import annotations
 
 import enum
-import io
 from dataclasses import dataclass
 
-from .catalog import BuildCatalog
+from .catalog import BuildCatalog, read_lines, write_text
 from .errors import ParseError, ValidationError
 
 EVENT_FILE_SUFFIX = ".events"
@@ -59,18 +58,10 @@ def parse_event_log(source, catalog: BuildCatalog) -> EventLog:
     (name not resolvable in the catalog, off-race or misspelled builds),
     or ParseError for frames that decrease.
     """
-    data = source.read()
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
-    lines = data.split("\n")
-
     game_id: str | None = None
     events: list[GameEvent] = []
     last_frame = -1
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in read_lines(source):
         if game_id is None:
             if not line.startswith("game "):
                 raise ParseError("expected header 'game <id>'", lineno)
@@ -119,16 +110,11 @@ def parse_event_log(source, catalog: BuildCatalog) -> EventLog:
 
 def write_event_log(log: EventLog, sink, catalog: BuildCatalog) -> None:
     """Serialize in canonical form. Bit-deterministic; round-trips."""
-    out = io.StringIO()
-    out.write(f"game {log.game_id}\n")
+    lines = [f"game {log.game_id}\n"]
     for e in log.events:
         if e.kind is EventKind.ENEMY_OBSERVED:
             name = catalog.enemy_types[e.type_id].name
         else:
             name = catalog.builds[e.type_id].name
-        out.write(f"{e.frame} {e.kind.value} {name}\n")
-    data = out.getvalue().encode("utf-8")
-    try:
-        sink.write(data)
-    except TypeError:
-        sink.write(data.decode("utf-8"))
+        lines.append(f"{e.frame} {e.kind.value} {name}\n")
+    write_text(sink, "".join(lines))

@@ -23,7 +23,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .encoding import FeatureGroupMask
+from .encoding import Cursor, FeatureGroupMask, write_str
 from .errors import FormatError
 
 DEFAULT_LAYER_SIZES = (210, 128, 128, 128, 128, 58)
@@ -251,10 +251,8 @@ def save_model(net: Network, sink) -> None:
     """Versioned binary model file; round-trips bit exactly."""
     sink.write(_MODEL_MAGIC)
     sink.write(struct.pack(">IB", _MODEL_VERSION, net.meta.mask.to_bits()))
-    for s in (net.meta.catalog_hash, net.meta.norms_hash):
-        data = s.encode("utf-8")
-        sink.write(struct.pack(">H", len(data)))
-        sink.write(data)
+    write_str(sink, net.meta.catalog_hash)
+    write_str(sink, net.meta.norms_hash)
     sizes = net.topology.layer_sizes
     sink.write(struct.pack(">H", len(sizes)))
     sink.write(struct.pack(f">{len(sizes)}I", *sizes))
@@ -262,35 +260,21 @@ def save_model(net: Network, sink) -> None:
 
 
 def load_model(source) -> Network:
-    data = source.read()
-    pos = 0
-
-    def take(n: int) -> bytes:
-        nonlocal pos
-        if pos + n > len(data):
-            raise FormatError("truncated model file")
-        chunk = data[pos : pos + n]
-        pos += n
-        return chunk
-
-    if take(5) != _MODEL_MAGIC:
+    cur = Cursor(source.read(), "model")
+    if cur.take(5) != _MODEL_MAGIC:
         raise FormatError("not a model file (bad magic)")
-    version, mask_bits = struct.unpack(">IB", take(5))
+    version, mask_bits = cur.unpack(">IB")
     if version != _MODEL_VERSION:
         raise FormatError(f"unsupported model version {version}")
-    hashes = []
-    for _ in range(2):
-        (n,) = struct.unpack(">H", take(2))
-        hashes.append(take(n).decode("utf-8"))
-    (n_sizes,) = struct.unpack(">H", take(2))
-    sizes = struct.unpack(f">{n_sizes}I", take(n_sizes * 4))
-    topology = NetworkTopology(layer_sizes=tuple(sizes))
-    params = np.frombuffer(take(topology.n_params * 8), dtype=">f8").astype(np.float64)
-    if pos != len(data):
+    catalog_hash, norms_hash = cur.read_str(), cur.read_str()
+    (n_sizes,) = cur.unpack(">H")
+    try:
+        topology = NetworkTopology(layer_sizes=cur.unpack(f">{n_sizes}I"))
+        mask = FeatureGroupMask.from_bits(mask_bits)
+    except ValueError as e:
+        raise FormatError(f"bad model header: {e}") from None
+    params = np.frombuffer(cur.take(topology.n_params * 8), dtype=">f8").astype(np.float64)
+    if not cur.done():
         raise FormatError("trailing bytes after model parameters")
-    meta = ModelMeta(
-        catalog_hash=hashes[0],
-        norms_hash=hashes[1],
-        mask=FeatureGroupMask.from_bits(mask_bits),
-    )
+    meta = ModelMeta(catalog_hash=catalog_hash, norms_hash=norms_hash, mask=mask)
     return Network(topology=topology, params=params, meta=meta)

@@ -47,6 +47,10 @@ DEFAULT_TIMEOUT = 0.1
 # that many connects is queued whole instead of waiting on SYN retransmits.
 MAX_CONNECTIONS = 64
 _RECV_BYTES = 1 << 16
+# Kernel send buffer per connection (Linux reports and uses twice this). Fixed
+# rather than autotuned, so a client that does not read its replies has at
+# most this much sent to it before the server stops reading its requests.
+SEND_BUFFER_BYTES = 1 << 16
 
 
 def write_frame(stream, payload: bytes) -> None:
@@ -96,19 +100,28 @@ def _policy_from_json(base: DecisionPolicy, spec, catalog: BuildCatalog) -> Deci
             mode = Mode(spec["mode"])
         except ValueError:
             raise _RequestError("bad-request", f"unknown policy mode {spec['mode']!r}")
-    blind = bool(spec.get("blind", base.blind))
+    blind = spec.get("blind", base.blind)
+    if not isinstance(blind, bool):
+        raise _RequestError("bad-request", "policy blind must be true or false")
     exclusions = base.exclusions
     if "exclusions" in spec:
-        if not isinstance(spec["exclusions"], list):
+        names = spec["exclusions"]
+        if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
             raise _RequestError("bad-request", "exclusions must be a list of names")
         try:
-            exclusions = frozenset(catalog.build_id(n) for n in spec["exclusions"])
+            exclusions = frozenset(catalog.build_id(n) for n in names)
         except KeyError as e:
             raise _RequestError("bad-request", str(e))
     seed = spec.get("seed", base.seed)
-    if not isinstance(seed, int) or seed < 0:
+    if not _is_count(seed):
         raise _RequestError("bad-request", "policy seed must be a non-negative integer")
     return DecisionPolicy(mode=mode, blind=blind, exclusions=exclusions, seed=seed)
+
+
+def _is_count(value) -> bool:
+    """A non-negative JSON integer that fits a state's int64 arrays; true and
+    false do not count as integers."""
+    return type(value) is int and 0 <= value < 2**63
 
 
 def _counts_from_json(obj, size: int, lookup, what: str) -> np.ndarray:
@@ -122,7 +135,7 @@ def _counts_from_json(obj, size: int, lookup, what: str) -> np.ndarray:
             idx = lookup(name)
         except KeyError:
             raise _RequestError("invalid-state", f"unknown {what} name {name!r}")
-        if not isinstance(count, int) or count < 0:
+        if not _is_count(count):
             raise _RequestError(
                 "invalid-state", f"{what} count for {name!r} must be a non-negative integer"
             )
@@ -140,24 +153,28 @@ def _state_from_json(obj, catalog: BuildCatalog) -> MacroState:
     supply_used = obj.get("supply_used", 0)
     supply_max = obj.get("supply_max", 0)
     for label, value in (("frame", frame), ("supply_used", supply_used), ("supply_max", supply_max)):
-        if not isinstance(value, int) or value < 0:
+        if not _is_count(value):
             raise _RequestError("invalid-state", f"{label} must be a non-negative integer")
     own = _counts_from_json(obj.get("own"), len(catalog.builds), catalog.build_id, "build")
     enemy = _counts_from_json(
         obj.get("enemy"), len(catalog.enemy_types), catalog.enemy_id, "enemy"
     )
+    entries = obj.get("production", [])
+    if not isinstance(entries, list):
+        raise _RequestError("invalid-state", "production must be a list")
     production = []
-    for entry in obj.get("production", []):
-        if not isinstance(entry, dict) or "name" not in entry or "done_at" not in entry:
+    for entry in entries:
+        name = entry.get("name") if isinstance(entry, dict) else None
+        if not isinstance(name, str) or "done_at" not in entry:
             raise _RequestError(
                 "invalid-state", "production entries need name and done_at"
             )
         try:
-            build_id = catalog.build_id(entry["name"])
+            build_id = catalog.build_id(name)
         except KeyError as e:
             raise _RequestError("invalid-state", str(e))
         done_at = entry["done_at"]
-        if not isinstance(done_at, int) or done_at < 0:
+        if not _is_count(done_at):
             raise _RequestError("invalid-state", "done_at must be a non-negative integer")
         production.append((build_id, done_at))
     return MacroState(
@@ -176,10 +193,12 @@ def _vector_from_json(obj) -> np.ndarray:
         raise _RequestError(
             "bad-request", f"vector must be a list of {N_FEATURES} numbers, got {got}"
         )
+    if not set(map(type, obj)) <= {float, int}:
+        raise _RequestError("bad-request", "vector entries must be numbers")
     try:
         vec = np.asarray(obj, dtype=np.float64)
-    except (TypeError, ValueError):
-        raise _RequestError("bad-request", "vector entries must be numbers")
+    except OverflowError:
+        raise _RequestError("bad-request", "vector values must lie in [0, 1]")
     if not np.isfinite(vec).all() or vec.min() < 0.0 or vec.max() > 1.0:
         raise _RequestError("bad-request", "vector values must lie in [0, 1]")
     return vec
@@ -285,6 +304,7 @@ class PredictionServer:
         sock.setblocking(False)
         # Nagle + delayed ACK stalls the client's two-write frame pattern by ~40ms
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, SEND_BUFFER_BYTES)
         # Per connection: rng stream, bytes not yet answered, reply bytes not yet sent
         rng = np.random.default_rng([self.seed, next(accepted)])
         self._sel.register(sock, selectors.EVENT_READ, (rng, bytearray(), bytearray()))

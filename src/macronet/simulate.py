@@ -63,10 +63,6 @@ class StochasticScript(Protocol):
     def game_plan(self, rng: np.random.Generator) -> GamePlan: ...
 
 
-def _initial_total(catalog: BuildCatalog) -> int:
-    return INITIAL_WORKERS + 1
-
-
 class FixedScript:
     """Plays a fixed build sequence: the k-th decision is the k-th name."""
 
@@ -77,7 +73,7 @@ class FixedScript:
 
     def action_distribution(self, state: MacroState) -> np.ndarray:
         produced = int(state.own_count.sum()) + len(state.production)
-        k = produced - _initial_total(self.catalog)
+        k = produced - INITIAL_WORKERS - 1  # less the opening workers and main building
         if not 0 <= k < len(self.sequence):
             raise ValueError(f"fixed script has no decision index {k}")
         dist = np.zeros(len(self.catalog.builds))
@@ -302,26 +298,24 @@ def bayes_top1_error(logs, generator: StochasticScript) -> float:
 # ---------------------------------------------------------------------------
 
 
+FRAME_CAP = 28800
+DECISION_FRAMES = 150
+COMBAT_FRAMES = 600
+STARTING_MINERALS = 50.0
+STARTING_GAS = 0.0
+MINERAL_RATE = 0.05  # per worker per frame
+GAS_RATE = 0.04  # per gas worker per frame
+GAS_WORKERS_PER_SOURCE = 3
+GAS_SOURCE = "assimilator"
+DECISIVE_RATIO = 1.5
+MIN_ARMY_VALUE = 400
+SUPPLY_CAP = 400
+
+
 class Winner(enum.Enum):
     A = "A"
     B = "B"
     DRAW = "draw"
-
-
-@dataclass(frozen=True)
-class MatchRules:
-    frame_cap: int = 28800
-    decision_frames: int = 150
-    combat_frames: int = 600
-    starting_minerals: float = 50.0
-    starting_gas: float = 0.0
-    mineral_rate: float = 0.05  # per worker per frame
-    gas_rate: float = 0.04  # per gas worker per frame
-    gas_workers_per_source: int = 3
-    gas_source: str = "assimilator"
-    decisive_ratio: float = 1.5
-    min_army_value: int = 400
-    supply_cap: int = 400
 
 
 @dataclass(frozen=True)
@@ -419,31 +413,28 @@ def random_player(catalog: BuildCatalog) -> ScriptedPlayer:
 class _Side:
     """Mutable per-player match bookkeeping around the functional state."""
 
-    def __init__(self, player: MatchPlayer, catalog: BuildCatalog, rules: MatchRules, rng):
+    def __init__(self, player: MatchPlayer, catalog: BuildCatalog, rng):
         self.player = player
         self.catalog = catalog
-        self.rules = rules
         self.rng = rng
         self.state = initial_state(catalog)
-        self.minerals = rules.starting_minerals
-        self.gas = rules.starting_gas
+        self.minerals = STARTING_MINERALS
+        self.gas = STARTING_GAS
         self.skipped = 0
         self.curve: list[tuple[int, int]] = []
         self.gas_source = (
-            catalog.build_id(rules.gas_source)
-            if catalog.has_build(rules.gas_source)
-            else None
+            catalog.build_id(GAS_SOURCE) if catalog.has_build(GAS_SOURCE) else None
         )
 
     def tick(self, frame: int) -> None:
         elapsed = frame - self.state.frame
         self.state = advance(self.state, frame, self.catalog)
         workers = int(self.state.own_count[self.catalog.worker_id])
-        self.minerals += workers * self.rules.mineral_rate * elapsed
+        self.minerals += workers * MINERAL_RATE * elapsed
         if self.gas_source is not None:
             sources = int(self.state.own_count[self.gas_source])
-            gas_workers = min(workers, sources * self.rules.gas_workers_per_source)
-            self.gas += gas_workers * self.rules.gas_rate * elapsed
+            gas_workers = min(workers, sources * GAS_WORKERS_PER_SOURCE)
+            self.gas += gas_workers * GAS_RATE * elapsed
 
     def army_value(self) -> int:
         total = 0
@@ -471,7 +462,7 @@ class _Side:
         if any(state.own_count[p] == 0 for p in spec.prerequisites):
             self.skipped += 1
             return
-        if spec.supply_provided > 0 and state.supply_max >= self.rules.supply_cap:
+        if spec.supply_provided > 0 and state.supply_max >= SUPPLY_CAP:
             self.skipped += 1
             return
         if (
@@ -503,35 +494,35 @@ def simulate_match(
     player_a: MatchPlayer,
     player_b: MatchPlayer,
     catalog: BuildCatalog,
-    rules: MatchRules = MatchRules(),
     seed: int = 0,
+    frame_cap: int = FRAME_CAP,
 ) -> MatchResult:
     """Run one abstract match to a decisive army advantage or the frame cap.
 
-    A side wins when its army value reaches min_army_value and exceeds the
-    opponent's by decisive_ratio at a combat check. Identical deterministic
+    A side wins when its army value reaches MIN_ARMY_VALUE and exceeds the
+    opponent's by DECISIVE_RATIO at a combat check. Identical deterministic
     players never diverge, so self-play ends in a draw at the cap."""
-    side_a = _Side(player_a, catalog, rules, np.random.default_rng([seed, 0]))
-    side_b = _Side(player_b, catalog, rules, np.random.default_rng([seed, 1]))
+    side_a = _Side(player_a, catalog, np.random.default_rng([seed, 0]))
+    side_b = _Side(player_b, catalog, np.random.default_rng([seed, 1]))
     frame = 0
     last_combat = 0
-    while frame < rules.frame_cap:
-        frame = min(frame + rules.decision_frames, rules.frame_cap)
+    while frame < frame_cap:
+        frame = min(frame + DECISION_FRAMES, frame_cap)
         for side in (side_a, side_b):
             side.tick(frame)
             side.attempt(side.player.choose(side.state, side.rng))
-        if frame - last_combat >= rules.combat_frames or frame >= rules.frame_cap:
+        if frame - last_combat >= COMBAT_FRAMES or frame >= frame_cap:
             last_combat = frame
             va, vb = side_a.army_value(), side_b.army_value()
             side_a.curve.append((frame, va))
             side_b.curve.append((frame, vb))
-            decisive_a = va >= rules.min_army_value and va >= rules.decisive_ratio * vb
-            decisive_b = vb >= rules.min_army_value and vb >= rules.decisive_ratio * va
+            decisive_a = va >= MIN_ARMY_VALUE and va >= DECISIVE_RATIO * vb
+            decisive_b = vb >= MIN_ARMY_VALUE and vb >= DECISIVE_RATIO * va
             if decisive_a and not decisive_b:
                 return _result(Winner.A, frame, side_a, side_b)
             if decisive_b and not decisive_a:
                 return _result(Winner.B, frame, side_a, side_b)
-    return _result(Winner.DRAW, rules.frame_cap, side_a, side_b)
+    return _result(Winner.DRAW, frame_cap, side_a, side_b)
 
 
 def _result(winner: Winner, frame: int, side_a: _Side, side_b: _Side) -> MatchResult:
@@ -561,13 +552,15 @@ def run_matches(
     player_b: MatchPlayer,
     catalog: BuildCatalog,
     n_matches: int,
-    rules: MatchRules = MatchRules(),
     seed: int = 0,
+    frame_cap: int = FRAME_CAP,
 ) -> MatchSeries:
     """Play n seeded matches (seeds seed..seed+n-1) and tally outcomes."""
+    if n_matches < 1:
+        raise ValueError("n_matches must be at least 1")
     wins_a = wins_b = draws = 0
     for i in range(n_matches):
-        result = simulate_match(player_a, player_b, catalog, rules, seed + i)
+        result = simulate_match(player_a, player_b, catalog, seed + i, frame_cap)
         if result.winner is Winner.A:
             wins_a += 1
         elif result.winner is Winner.B:

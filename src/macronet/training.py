@@ -169,26 +169,18 @@ def evaluate_topk(
 
 
 def baseline_most_frequent(
-    train_set: Dataset,
-    test_set: Dataset,
-    ks=DEFAULT_TOP_KS,
-    rank_by_frequency: bool = False,
+    train_set: Dataset, test_set: Dataset, ks=DEFAULT_TOP_KS
 ) -> dict[int, float]:
     """Predict the most frequent training action for every state.
 
     A single-guess predictor is wrong whenever the label differs, at every k,
-    so by default all entries share the top-1 error. rank_by_frequency=True
-    instead guesses the k most frequent classes."""
+    so all entries share the top-1 error."""
     counts = class_frequencies(train_set)
     _, y = test_set.stacked()
     if len(y) == 0:
         raise ValueError("cannot evaluate on an empty dataset")
-    if not rank_by_frequency:
-        top = int(counts.argmax())
-        err = float((y != top).mean())
-        return {k: err for k in ks}
-    order = np.argsort(-counts, kind="stable")
-    return {k: float((~np.isin(y, order[:k])).mean()) for k in ks}
+    err = float((y != int(counts.argmax())).mean())
+    return {k: err for k in ks}
 
 
 def baseline_uniform_random(

@@ -6,7 +6,6 @@ from macronet.catalog import (
     BuildKind,
     load_catalog,
     load_default_catalog,
-    output_index,
     write_catalog,
 )
 from macronet.errors import ParseError, SchemaError
@@ -72,13 +71,6 @@ def test_prerequisites_resolve(catalog):
     assert "cybernetics_core" in names
 
 
-def test_output_index_is_identity(catalog):
-    for spec in catalog.builds:
-        assert output_index(catalog, spec.id) == spec.id
-    with pytest.raises(KeyError):
-        output_index(catalog, 99)
-
-
 def test_round_trip_preserves_catalog(catalog):
     buf = io.StringIO()
     write_catalog(catalog, buf)
@@ -128,6 +120,16 @@ def test_unknown_prerequisite_rejected(catalog):
     with pytest.raises(SchemaError) as err:
         load_catalog(io.StringIO(broken))
     assert "cybernetics_korps" in str(err.value)
+
+
+def test_negative_supply_cost_rejected(catalog):
+    lines = _catalog_text(catalog).splitlines()
+    fields = lines[1].split(", ")
+    fields[4] = "-1"  # supply_cost
+    lines[1] = ", ".join(fields)
+    with pytest.raises(SchemaError) as err:
+        load_catalog(io.StringIO("\n".join(lines)))
+    assert "line 2" in str(err.value)
 
 
 def test_empty_file_rejected():

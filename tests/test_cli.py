@@ -218,6 +218,12 @@ def test_simulate_json(capsys):
     assert report["a"] == "worker-then-army"
 
 
+def test_simulate_without_matches_fails(capsys):
+    code = main(["simulate", "--a", "worker-only", "--b", "worker-only", "--matches", "0"])
+    assert code == 1
+    assert "at least 1" in capsys.readouterr().err
+
+
 def test_simulate_model_player(pipeline, capsys):
     code = main(
         [

@@ -4,7 +4,7 @@ import logging
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from macronet import encoding
@@ -29,7 +29,7 @@ from macronet.encoding import (
     write_dataset,
     write_norms,
 )
-from macronet.errors import FormatError, SchemaError
+from macronet.errors import FormatError, ParseError, SchemaError
 from macronet.events import EventKind, GameEvent
 from macronet.forward import MacroState, apply_event, initial_state
 
@@ -285,8 +285,19 @@ def test_norms_unknown_name_rejected(catalog, norms):
 def test_norms_nonpositive_cap_rejected(catalog, norms):
     buf = io.StringIO()
     write_norms(norms, catalog, buf)
-    with pytest.raises(SchemaError):
-        load_norms(io.StringIO(buf.getvalue().replace("probe, 100", "probe, 0")), catalog)
+    for cap in ("0", "-1", "nan", "inf"):
+        text = buf.getvalue().replace("probe, 100", f"probe, {cap}")
+        with pytest.raises(SchemaError):
+            load_norms(io.StringIO(text), catalog)
+
+
+def test_norms_repeated_section_rejected(catalog, norms):
+    buf = io.StringIO()
+    write_norms(norms, catalog, buf)
+    text = buf.getvalue().replace("[supply]", "[upgrades]\n[supply]")
+    with pytest.raises(ParseError) as err:
+        load_norms(io.StringIO(text), catalog)
+    assert "duplicate section [upgrades]" in str(err.value)
 
 
 # -- dataset file format --------------------------------------------------------
@@ -345,6 +356,34 @@ def test_dataset_action_range_checked_on_read(small_dataset):
     with pytest.raises(FormatError) as err:
         read_dataset(buf)
     assert "action" in str(err.value)
+
+
+def _dataset_file() -> bytes:
+    games = tuple(
+        GameRecord(f"g-{i}", np.full((1, N_FEATURES), 0.5), np.array([i]))
+        for i in range(2)
+    )
+    buf = io.BytesIO()
+    write_dataset(Dataset(games, "79b5daa45c5c8e43", "e5561f0b22de8921"), buf)
+    return buf.getvalue()
+
+
+_DATASET_FILE = _dataset_file()
+
+
+def _corruption(at: int, byte: int) -> bytes:
+    return _DATASET_FILE[:at] + bytes([byte]) + _DATASET_FILE[at + 1 :]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    blob=st.integers(0, len(_DATASET_FILE) - 1).map(lambda n: _DATASET_FILE[:n])
+    | st.builds(_corruption, st.integers(0, len(_DATASET_FILE) - 1), st.integers(0, 255))
+)
+@example(blob=_corruption(18, 0xFF))  # inside the catalog hash
+def test_corrupt_dataset_file_loads_or_raises_format_error(blob):
+    with contextlib.suppress(FormatError):
+        read_dataset(io.BytesIO(blob))
 
 
 def test_build_dataset_preserves_game_order(catalog, norms, small_logs):

@@ -1,10 +1,11 @@
+import contextlib
 import io
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gradcheck import backward, finite_difference_gradients
@@ -304,6 +305,37 @@ def test_load_detects_bad_magic():
     data[0] ^= 0xFF
     with pytest.raises(FormatError):
         load_model(io.BytesIO(bytes(data)))
+
+
+def _model_file() -> bytes:
+    meta = ModelMeta(
+        catalog_hash="79b5daa45c5c8e43",
+        norms_hash="e5561f0b22de8921",
+        mask=parse_mask("a+c+e"),
+    )
+    buf = io.BytesIO()
+    save_model(replace(tiny((4, 3, 2), seed=1), meta=meta), buf)
+    return buf.getvalue()
+
+
+_MODEL_FILE = _model_file()
+
+
+def _corruption(at: int, byte: int) -> bytes:
+    return _MODEL_FILE[:at] + bytes([byte]) + _MODEL_FILE[at + 1 :]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    blob=st.integers(0, len(_MODEL_FILE) - 1).map(lambda n: _MODEL_FILE[:n])
+    | st.builds(_corruption, st.integers(0, len(_MODEL_FILE) - 1), st.integers(0, 255))
+)
+@example(blob=_corruption(9, 0))  # a mask without group a
+@example(blob=_corruption(12, 0xFF))  # inside the catalog hash
+@example(blob=_corruption(51, 0))  # a layer of size 0
+def test_corrupt_model_file_loads_or_raises_format_error(blob):
+    with contextlib.suppress(FormatError):
+        load_model(io.BytesIO(blob))
 
 
 def test_model_version_tracks_parameters():

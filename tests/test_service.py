@@ -8,6 +8,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from macronet import service
 from macronet.encoding import encode
@@ -208,12 +210,77 @@ def test_bad_json_keeps_connection_usable(server, catalog, norms):
             {"vector": [0.1] * 210, "policy": {"exclusions": ["marauder"]}},
             "bad-request",
         ),
+        ({"vector": [[0.1]] * 210}, "bad-request"),
+        ({"vector": ["0.5"] * 210}, "bad-request"),
+        ({"state": {"production": 5}}, "invalid-state"),
+        ({"vector": [0.1] * 210, "policy": {"exclusions": [[1]]}}, "bad-request"),
+        ({"state": {"own": {"probe": 2**70}}}, "invalid-state"),
+        ({"vector": [0.1] * 210, "policy": {"blind": "false"}}, "bad-request"),
+        ({"state": {"frame": True}}, "invalid-state"),
     ],
 )
 def test_invalid_requests_get_error_responses(server, request_body, kind):
     response = client_predict(server.server_address, request_body, timeout=1.0)
     assert response["error"]["kind"] == kind
     assert response["request_id"] == str(request_body.get("request_id", ""))
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=8,
+)
+
+
+def _object(**fields):
+    """Arbitrary JSON, or an object with any subset of the given fields."""
+    return _JSON | st.fixed_dictionaries({}, optional=fields)
+
+
+def _names(*names):
+    return _JSON | st.dictionaries(st.sampled_from(names), _JSON, max_size=3)
+
+
+_VECTORS = _JSON | st.just([0.5] * 210) | st.lists(_JSON, min_size=210, max_size=210)
+_STATES = _object(
+    frame=_JSON,
+    own=_names("probe", "pylon"),
+    enemy=_names("marine"),
+    production=_JSON
+    | st.lists(_object(name=_JSON | st.just("pylon"), done_at=_JSON), max_size=3),
+    supply_used=_JSON,
+    supply_max=_JSON,
+)
+_POLICIES = _object(
+    mode=_JSON | st.sampled_from(["greedy", "probabilistic", "random"]),
+    blind=_JSON,
+    exclusions=_JSON | st.lists(_JSON | st.just("probe"), max_size=3),
+    seed=_JSON,
+)
+
+
+@pytest.fixture(scope="module")
+def unstarted_server(service_net, catalog, norms):
+    srv = PredictionServer(service_net, catalog, norms)
+    yield srv
+    srv.server_close()
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    body=st.fixed_dictionaries({"vector": _VECTORS})
+    | st.fixed_dictionaries({"state": _STATES}),
+    policy=st.none() | _POLICIES,
+)
+@example(body={"state": {"production": 5}}, policy=None)
+@example(body={"vector": [0.5] * 210}, policy={"exclusions": [[1]]})
+def test_arbitrary_json_never_gets_an_internal_error(unstarted_server, body, policy):
+    request = body if policy is None else {**body, "policy": policy}
+    payload = json.dumps(request).encode("utf-8")
+    reply = unstarted_server.answer(payload, np.random.default_rng(0))
+    error = json.loads(reply).get("error")
+    assert error is None or error["kind"] != "internal", error
 
 
 def test_degenerate_exclusions_reported(server, catalog, norms):
@@ -411,19 +478,24 @@ def test_connections_past_the_cap_are_closed(monkeypatch, service_net, catalog, 
                 client.close()
 
 
-def test_a_client_that_never_reads_stalls_no_one_else(server, catalog, norms):
+def _pipeline_without_reading(hog, server, catalog, norms):
+    """Send requests on hog, reading no reply, until the server has stopped
+    taking them for 0.5 s."""
     frame = json.dumps({"vector": initial_vector(catalog, norms)}).encode("utf-8")
     frame = struct.pack(">I", len(frame)) + frame
+    hog.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+    hog.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 16384)
+    hog.connect(server.server_address)
+    hog.setblocking(False)
+    pending = memoryview(frame * 6000)
+    while pending and select.select([], [hog], [], 0.5)[1]:
+        pending = pending[hog.send(pending[:65536]) :]
+    assert pending, "the server read every request with none of its replies read"
+
+
+def test_a_client_that_never_reads_stalls_no_one_else(server, catalog, norms):
     with socket.socket() as hog:
-        hog.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
-        hog.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 16384)
-        hog.connect(server.server_address)
-        hog.setblocking(False)
-        pending = memoryview(frame * 6000)
-        # Pipeline requests until the server has stopped taking them for 0.5 s.
-        while pending and select.select([], [hog], [], 0.5)[1]:
-            pending = pending[hog.send(pending[:65536]) :]
-        assert pending, "the server read every request with none of its replies read"
+        _pipeline_without_reading(hog, server, catalog, norms)
         request = {"vector": initial_vector(catalog, norms)}
         with PredictionClient(server.server_address, timeout=1.0) as other:
             assert "error" not in other.predict(request)
@@ -431,6 +503,19 @@ def test_a_client_that_never_reads_stalls_no_one_else(server, catalog, norms):
                 bad.sendall(struct.pack(">I", MAX_MESSAGE_BYTES + 1))
                 assert bad.recv(1) == b""
             assert "error" not in other.predict(request)
+
+
+def test_connection_send_buffers_are_capped(server, catalog, norms):
+    request = {"vector": initial_vector(catalog, norms)}
+    with PredictionClient(server.server_address, timeout=1.0) as other, socket.socket() as hog:
+        assert "error" not in other.predict(request)
+        _pipeline_without_reading(hog, server, catalog, norms)
+        keys = list(server._sel.get_map().values())
+        conns = [k.fileobj for k in keys if k.fileobj not in (server.socket, server._wake_r)]
+        assert len(conns) == 2
+        for conn in conns:  # Linux reports twice the size it was given
+            size = conn.getsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF)
+            assert size <= 2 * service.SEND_BUFFER_BYTES
 
 
 # -- concurrency and latency -------------------------------------------------------

@@ -3,11 +3,11 @@ import io
 import numpy as np
 import pytest
 
+from macronet import simulate
 from macronet.events import EventKind, parse_event_log, write_event_log
 from macronet.forward import replay
 from macronet.simulate import (
     FixedScript,
-    MatchRules,
     TwoBranchScript,
     Winner,
     bayes_top1_error,
@@ -147,7 +147,7 @@ def test_self_play_draws(catalog):
     player = worker_then_army_player(catalog)
     result = simulate_match(player, player, catalog, seed=1)
     assert result.winner is Winner.DRAW
-    assert result.end_frame == MatchRules().frame_cap
+    assert result.end_frame == simulate.FRAME_CAP
 
 
 def test_worker_only_loses(catalog):
@@ -155,7 +155,7 @@ def test_worker_only_loses(catalog):
         worker_only_player(catalog), worker_then_army_player(catalog), catalog, seed=2
     )
     assert result.winner is Winner.B
-    assert result.end_frame < MatchRules().frame_cap
+    assert result.end_frame < simulate.FRAME_CAP
 
 
 def test_match_is_deterministic(catalog):
@@ -189,29 +189,27 @@ def test_random_player_accumulates_skips(catalog):
 
 
 def test_army_curve_is_sampled_at_combat_checks(catalog):
-    rules = MatchRules(frame_cap=6000)
     result = simulate_match(
         worker_then_army_player(catalog),
         worker_only_player(catalog),
         catalog,
-        rules=rules,
         seed=5,
+        frame_cap=6000,
     )
-    assert result.end_frame <= rules.frame_cap
+    assert result.end_frame <= 6000
     frames = [f for f, _ in result.army_curve_a]
     assert frames == sorted(frames)
-    assert all(f % rules.combat_frames == 0 or f == rules.frame_cap for f in frames)
+    assert all(f % simulate.COMBAT_FRAMES == 0 or f == 6000 for f in frames)
     assert all(v >= 0 for _, v in result.army_curve_a)
 
 
 def test_worker_only_never_builds_army(catalog):
-    rules = MatchRules(frame_cap=9000)
     result = simulate_match(
         worker_only_player(catalog),
         worker_only_player(catalog),
         catalog,
-        rules=rules,
         seed=6,
+        frame_cap=9000,
     )
     assert result.winner is Winner.DRAW
     assert all(v == 0 for _, v in result.army_curve_a)

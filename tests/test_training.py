@@ -173,18 +173,6 @@ def test_most_frequent_baseline_single_guess():
     assert errors[1] == errors[3] == errors[10] == pytest.approx(0.75)
 
 
-def test_most_frequent_baseline_ranked_variant():
-    counts = {3: 5, 1: 3, 0: 2}
-    acts = [c for c, n in counts.items() for _ in range(n)]
-    train_set = make_dataset([len(acts)], action_of=lambda g, i: acts[i])
-    test_set = make_dataset([4], action_of=lambda g, i: [3, 1, 0, 7][i])
-    errors = baseline_most_frequent(
-        train_set, test_set, ks=(1, 3), rank_by_frequency=True
-    )
-    assert errors[1] == pytest.approx(0.75)
-    assert errors[3] == pytest.approx(0.25)
-
-
 def test_uniform_random_baseline_near_analytic():
     test_set = make_dataset([3000], action_of=lambda g, i: i % N_CLASSES)
     errors = baseline_uniform_random(test_set, seed=1)
