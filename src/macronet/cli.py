@@ -285,14 +285,14 @@ def expansion_curve(model: net.Network, dataset: encoding.Dataset, catalog, norm
         return []
     own_main = np.rint(X[:, main] * norms.own_caps[main]).astype(int)
     inprod_main = np.rint(
-        X[:, encoding.N_CLASSES + main] * norms.own_caps[main]
+        X[:, encoding.IN_PRODUCTION_SLICE.start + main] * norms.own_caps[main]
     ).astype(int)
     keep = (own_main == 1) & (inprod_main == 0)
     if not keep.any():
         return []
     X = X[keep]
     workers = np.rint(X[:, worker] * norms.own_caps[worker]).astype(int)
-    probs = net.forward_batch(model, encoding.apply_mask(X, model.meta.mask))[:, main]
+    probs = net.forward_batch(model, X)[:, main]
     rows = []
     for count in sorted(set(workers.tolist())):
         sel = workers == count
@@ -305,6 +305,8 @@ def cmd_analyze(args) -> int:
     norms = _load_norms(args.norms, catalog)
     dataset = _load_dataset(args.dataset)
     model = _load_model(args.model)
+    net.check_compatibility(model, dataset.catalog_hash, dataset.norms_hash)
+    net.check_compatibility(model, catalog.content_hash(), norms.content_hash())
     rows = expansion_curve(model, dataset, catalog, norms)
     with open(args.out, "w", encoding="utf-8") as f:
         f.write(EXPANSION_CSV_HEADER + "\n")

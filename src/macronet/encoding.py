@@ -32,9 +32,6 @@ import numpy as np
 from .catalog import (
     N_ENEMY_TYPES,
     N_OWN_BUILDS,
-    N_TECHNOLOGIES,
-    N_UNITS_BUILDINGS,
-    N_UPGRADES,
     BuildCatalog,
     open_packaged,
     read_sections,
@@ -49,8 +46,6 @@ N_FEATURES = 210
 N_CLASSES = N_OWN_BUILDS
 
 OWN_SLICE = slice(0, 58)
-TECH_SLICE = slice(N_UNITS_BUILDINGS, N_UNITS_BUILDINGS + N_TECHNOLOGIES)
-UPGRADE_SLICE = slice(N_UNITS_BUILDINGS + N_TECHNOLOGIES, N_OWN_BUILDS)
 IN_PRODUCTION_SLICE = slice(58, 116)
 PROGRESS_SLICE = slice(116, 174)
 ENEMY_SLICE = slice(174, 207)
@@ -95,6 +90,17 @@ class NormalizationTable:
 _NORM_SECTIONS = ("units_buildings", "technologies", "upgrades", "enemy_types", "supply")
 
 
+def _cap_sections(catalog: BuildCatalog, own_caps: np.ndarray, enemy_caps: np.ndarray):
+    """The per-type sections in file order: name, the specs it covers, and
+    the cap vector their ids index."""
+    return (
+        ("units_buildings", catalog.units_buildings, own_caps),
+        ("technologies", catalog.technologies, own_caps),
+        ("upgrades", catalog.upgrades, own_caps),
+        ("enemy_types", catalog.enemy_types, enemy_caps),
+    )
+
+
 def load_norms(source, catalog: BuildCatalog) -> NormalizationTable:
     """Parse a normalization table and check it covers the whole catalog.
 
@@ -123,28 +129,16 @@ def load_norms(source, catalog: BuildCatalog) -> NormalizationTable:
             entries[section][parts[0]] = cap
 
     own_caps = np.zeros(N_OWN_BUILDS, dtype=np.float64)
-    for section, group in (
-        ("units_buildings", catalog.units_buildings),
-        ("technologies", catalog.technologies),
-        ("upgrades", catalog.upgrades),
-    ):
+    enemy_caps = np.zeros(N_ENEMY_TYPES, dtype=np.float64)
+    for section, specs, caps in _cap_sections(catalog, own_caps, enemy_caps):
         table = entries[section]
-        for spec in group:
+        for spec in specs:
             if spec.name not in table:
                 raise SchemaError(f"{section}: missing cap for {spec.name!r}")
-            own_caps[spec.id] = table[spec.name]
-        extra = set(table) - {spec.name for spec in group}
+            caps[spec.id] = table[spec.name]
+        extra = set(table) - {spec.name for spec in specs}
         if extra:
             raise SchemaError(f"{section}: caps for unknown names {sorted(extra)}")
-    enemy_caps = np.zeros(N_ENEMY_TYPES, dtype=np.float64)
-    table = entries["enemy_types"]
-    for spec in catalog.enemy_types:
-        if spec.name not in table:
-            raise SchemaError(f"enemy_types: missing cap for {spec.name!r}")
-        enemy_caps[spec.id] = table[spec.name]
-    extra = set(table) - {spec.name for spec in catalog.enemy_types}
-    if extra:
-        raise SchemaError(f"enemy_types: caps for unknown names {sorted(extra)}")
     if "supply" not in entries["supply"]:
         raise SchemaError("supply: missing 'supply, <cap>' entry")
     return NormalizationTable(
@@ -161,15 +155,9 @@ def write_norms(norms: NormalizationTable, catalog: BuildCatalog, sink) -> None:
         return repr(int(x)) if float(x).is_integer() else repr(float(x))
 
     lines = []
-    for section, group in (
-        ("units_buildings", catalog.units_buildings),
-        ("technologies", catalog.technologies),
-        ("upgrades", catalog.upgrades),
-    ):
+    for section, specs, caps in _cap_sections(catalog, norms.own_caps, norms.enemy_caps):
         lines.append(f"[{section}]\n")
-        lines += (f"{spec.name}, {fmt(norms.own_caps[spec.id])}\n" for spec in group)
-    lines.append("[enemy_types]\n")
-    lines += (f"{spec.name}, {fmt(norms.enemy_caps[spec.id])}\n" for spec in catalog.enemy_types)
+        lines += (f"{spec.name}, {fmt(caps[spec.id])}\n" for spec in specs)
     lines.append(f"[supply]\nsupply, {fmt(norms.supply_cap)}\n")
     write_text(sink, "".join(lines))
 
@@ -197,21 +185,23 @@ def encode(state, catalog: BuildCatalog, norms: NormalizationTable) -> np.ndarra
     own = state.own_count / norms.own_caps
     in_prod = state.in_production_count() / norms.own_caps
     enemy = state.enemy_count / norms.enemy_caps
-    for offset, block in ((0, own), (58, in_prod), (174, enemy)):
+    for group, block in ((OWN_SLICE, own), (IN_PRODUCTION_SLICE, in_prod), (ENEMY_SLICE, enemy)):
         over = np.nonzero(block > 1.0)[0]
         for i in over:
-            norms._warn_clamp(offset + int(i), float(block[i]))
+            norms._warn_clamp(group.start + int(i), float(block[i]))
     v[OWN_SLICE] = np.clip(own, 0.0, 1.0)
     v[IN_PRODUCTION_SLICE] = np.clip(in_prod, 0.0, 1.0)
     v[PROGRESS_SLICE] = state.production_progress(catalog)
     v[ENEMY_SLICE] = np.clip(enemy, 0.0, 1.0)
     cap = norms.supply_cap
-    for offset, raw in ((207, state.supply_used), (208, state.supply_max)):
+    for offset, raw in enumerate((state.supply_used, state.supply_max), SUPPLY_SLICE.start):
         if raw > cap:
             norms._warn_clamp(offset, raw)
-    v[207] = min(1.0, state.supply_used / cap)
-    v[208] = min(1.0, state.supply_max / cap)
-    v[209] = min(1.0, max(0.0, state.supply_left / cap))
+    v[SUPPLY_SLICE] = (
+        min(1.0, state.supply_used / cap),
+        min(1.0, state.supply_max / cap),
+        min(1.0, max(0.0, state.supply_left / cap)),
+    )
     return v
 
 
@@ -239,13 +229,13 @@ def _encode_rows(states, catalog: BuildCatalog, norms: NormalizationTable) -> np
     in_prod = in_prod_count / norms.own_caps
     enemy = np.stack([s.enemy_count for s in states]) / norms.enemy_caps
     over = []
-    for offset, block in ((0, own), (58, in_prod), (174, enemy)):
+    for group, block in ((OWN_SLICE, own), (IN_PRODUCTION_SLICE, in_prod), (ENEMY_SLICE, enemy)):
         hit = block > 1.0
         columns = np.flatnonzero(hit.any(axis=0))
         for row, column in zip(hit[:, columns].argmax(axis=0), columns):
-            over.append((int(row), offset + int(column), float(block[row, column])))
+            over.append((int(row), group.start + int(column), float(block[row, column])))
     cap = norms.supply_cap
-    for offset, raw in ((207, used), (208, supply_max)):
+    for offset, raw in enumerate((used, supply_max), SUPPLY_SLICE.start):
         hit = raw > cap
         if hit.any():
             row = int(hit.argmax())
@@ -262,9 +252,10 @@ def _encode_rows(states, catalog: BuildCatalog, norms: NormalizationTable) -> np
     progress = 1.0 - (soonest[busy] - frame[busy_row]) / build_frames[busy_id]
     v[busy_row, PROGRESS_SLICE.start + busy_id] = np.minimum(1.0, np.maximum(0.0, progress))
     v[:, ENEMY_SLICE] = np.clip(enemy, 0.0, 1.0)
-    v[:, 207] = np.minimum(1.0, used / cap)
-    v[:, 208] = np.minimum(1.0, supply_max / cap)
-    v[:, 209] = np.minimum(1.0, np.maximum(0.0, (supply_max - used) / cap))
+    supply = v[:, SUPPLY_SLICE]
+    supply[:, 0] = np.minimum(1.0, used / cap)
+    supply[:, 1] = np.minimum(1.0, supply_max / cap)
+    supply[:, 2] = np.minimum(1.0, np.maximum(0.0, (supply_max - used) / cap))
     return v
 
 
@@ -283,37 +274,29 @@ GROUP_SLICES = {
 
 @dataclass(frozen=True)
 class FeatureGroupMask:
-    """Which feature groups stay live. Excluded groups are zero-filled so one
+    """Which feature groups stay live: their letters in layout order, so
+    ``"abcde"`` keeps every group. Excluded groups are zero-filled so one
     210-wide network topology serves every ablation and the blind policy."""
 
-    own_material: bool = True  # group a
-    in_production: bool = True  # group b
-    progress: bool = True  # group c
-    opponent: bool = True  # group d
-    supply: bool = True  # group e
+    groups: str = "".join(GROUP_SLICES)
 
     def __post_init__(self):
-        if not self.own_material:
+        if "".join(g for g in GROUP_SLICES if g in self.groups) != self.groups:
+            raise ValueError(f"feature groups {self.groups!r} are not letters of abcde in order")
+        if "a" not in self.groups:
             raise ValueError("own material (group a) cannot be masked out")
 
-    def included(self) -> dict[str, bool]:
-        return {
-            "a": self.own_material,
-            "b": self.in_production,
-            "c": self.progress,
-            "d": self.opponent,
-            "e": self.supply,
-        }
-
     def label(self) -> str:
-        return "+".join(g for g, on in self.included().items() if on)
+        return "+".join(self.groups)
 
     def to_bits(self) -> int:
-        return sum(1 << i for i, on in enumerate(self.included().values()) if on)
+        return sum(1 << i for i, g in enumerate(GROUP_SLICES) if g in self.groups)
 
     @classmethod
     def from_bits(cls, bits: int) -> "FeatureGroupMask":
-        return cls(*(bool(bits >> i & 1) for i in range(5)))
+        if not 0 <= bits < 1 << len(GROUP_SLICES):
+            raise ValueError(f"mask bits {bits:#x} name no feature groups")
+        return cls("".join(g for i, g in enumerate(GROUP_SLICES) if bits >> i & 1))
 
 
 FULL_MASK = FeatureGroupMask()
@@ -327,22 +310,16 @@ def parse_mask(label: str) -> FeatureGroupMask:
         raise ValueError(f"unknown feature groups {sorted(unknown)} in {label!r}")
     if "a" not in groups:
         raise ValueError("mask must include group a (own material)")
-    return FeatureGroupMask(
-        own_material=True,
-        in_production="b" in groups,
-        progress="c" in groups,
-        opponent="d" in groups,
-        supply="e" in groups,
-    )
+    return FeatureGroupMask("".join(g for g in GROUP_SLICES if g in groups))
 
 
 def apply_mask(vector: np.ndarray, mask: FeatureGroupMask) -> np.ndarray:
     """Zero out excluded groups; included coordinates pass through unchanged.
     Accepts a single vector or a (n, 210) batch; returns a copy."""
     out = np.array(vector, dtype=np.float64, copy=True)
-    for group, on in mask.included().items():
-        if not on:
-            out[..., GROUP_SLICES[group]] = 0.0
+    for group, columns in GROUP_SLICES.items():
+        if group not in mask.groups:
+            out[..., columns] = 0.0
     return out
 
 
@@ -504,6 +481,8 @@ def read_dataset(source) -> Dataset:
             .reshape(n, N_FEATURES)
             .astype(np.float64)
         )
+        if n and not 0.0 <= vectors.min() <= vectors.max() <= 1.0:
+            raise FormatError(f"game {game_id!r}: feature value outside [0, 1]")
         games.append(GameRecord(game_id=game_id, vectors=vectors, actions=actions))
     if not cur.done():
         raise FormatError("trailing bytes after last game record")

@@ -23,8 +23,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .encoding import Cursor, FeatureGroupMask, write_str
-from .errors import FormatError
+from .encoding import FULL_MASK, Cursor, FeatureGroupMask, apply_mask, write_str
+from .errors import CompatibilityError, FormatError
 
 DEFAULT_LAYER_SIZES = (210, 128, 128, 128, 128, 58)
 
@@ -95,6 +95,22 @@ class Network:
         return hashlib.sha256(self.params.astype(">f8").tobytes()).hexdigest()[:12]
 
 
+def check_compatibility(net: Network, catalog_hash: str, norms_hash: str) -> None:
+    """Raise CompatibilityError unless the model was trained on data encoded
+    with the catalog and normalization table of these content hashes (a
+    model that records no hash passes)."""
+    if net.meta.catalog_hash and net.meta.catalog_hash != catalog_hash:
+        raise CompatibilityError(
+            "model was trained with a different catalog "
+            f"({net.meta.catalog_hash} != {catalog_hash})"
+        )
+    if net.meta.norms_hash and net.meta.norms_hash != norms_hash:
+        raise CompatibilityError(
+            "model was trained with a different normalization table "
+            f"({net.meta.norms_hash} != {norms_hash})"
+        )
+
+
 def init_network(
     topology: NetworkTopology = NetworkTopology(),
     seed: int = 0,
@@ -129,13 +145,15 @@ def _forward_cached(net: Network, X: np.ndarray):
 
 
 def _check_input(net: Network, X: np.ndarray) -> np.ndarray:
+    """X as float64, with the groups the model's mask excludes zeroed in a
+    copy, so a masked model never reads features it was not trained on."""
     X = np.asarray(X, dtype=np.float64)
     if X.shape[-1] != net.topology.input_size:
         raise ValueError(
             f"input has {X.shape[-1]} features, network expects "
             f"{net.topology.input_size}"
         )
-    return X
+    return X if net.meta.mask == FULL_MASK else apply_mask(X, net.meta.mask)
 
 
 def forward(net: Network, x: np.ndarray) -> np.ndarray:

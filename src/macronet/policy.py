@@ -15,17 +15,20 @@ import numpy as np
 
 from .catalog import BuildCatalog
 from .encoding import (
-    ENEMY_SLICE,
     N_CLASSES,
+    FeatureGroupMask,
     NormalizationTable,
     apply_mask,
     encode,
 )
-from .errors import CompatibilityError, DegenerateDistributionError
+from .errors import DegenerateDistributionError
 from .forward import MacroState
-from .net import Network, forward
+from .net import Network, check_compatibility, forward
 
 DEGENERATE_MASS = 1.0 - 1e-12
+
+# What a blind policy feeds the network: every group but the opponent's (d).
+BLIND_MASK = FeatureGroupMask("abce")
 
 # Excluded from selection by default: builds whose value depends on control
 # decisions outside this model's scope (merges, transports, micro-heavy or
@@ -132,9 +135,8 @@ def decide_from_vector(
     the non-excluded classes."""
     if rng is None:
         rng = np.random.default_rng(policy.seed)
-    vector = apply_mask(vector, net.meta.mask)
     if policy.blind:
-        vector[ENEMY_SLICE] = 0.0
+        vector = apply_mask(vector, BLIND_MASK)
     if policy.mode is Mode.RANDOM:
         dist = uniform_distribution(net.topology.output_size, policy.exclusions)
         return select_probabilistic(dist, rng), dist
@@ -154,20 +156,5 @@ def decide(
 
     Refuses to run a model against a catalog or normalization table other
     than the ones it was trained with."""
-    check_compatibility(net, catalog, norms)
+    check_compatibility(net, catalog.content_hash(), norms.content_hash())
     return decide_from_vector(net, encode(state, catalog, norms), policy, rng)
-
-
-def check_compatibility(net: Network, catalog: BuildCatalog, norms: NormalizationTable) -> None:
-    """Raise CompatibilityError unless the model was trained with this
-    catalog and normalization table (a model that records no hash passes)."""
-    if net.meta.catalog_hash and net.meta.catalog_hash != catalog.content_hash():
-        raise CompatibilityError(
-            "model was trained with a different catalog "
-            f"({net.meta.catalog_hash} != {catalog.content_hash()})"
-        )
-    if net.meta.norms_hash and net.meta.norms_hash != norms.content_hash():
-        raise CompatibilityError(
-            "model was trained with a different normalization table "
-            f"({net.meta.norms_hash} != {norms.content_hash()})"
-        )

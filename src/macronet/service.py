@@ -38,8 +38,8 @@ from .catalog import BuildCatalog
 from .encoding import N_FEATURES, NormalizationTable, encode
 from .errors import ClientTimeout, DegenerateDistributionError, ProtocolError
 from .forward import MacroState
-from .net import Network
-from .policy import DecisionPolicy, Mode, check_compatibility, decide_from_vector
+from .net import Network, check_compatibility
+from .policy import DecisionPolicy, Mode, decide_from_vector
 
 MAX_MESSAGE_BYTES = 1 << 20
 DEFAULT_TIMEOUT = 0.1
@@ -216,7 +216,7 @@ class PredictionServer:
         address: tuple[str, int] = ("127.0.0.1", 0),
         seed: int = 0,
     ):
-        check_compatibility(net, catalog, norms)
+        check_compatibility(net, catalog.content_hash(), norms.content_hash())
         self.net = net
         self.catalog = catalog
         self.norms = norms

@@ -11,12 +11,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .encoding import (
-    N_CLASSES,
-    Dataset,
-    FeatureGroupMask,
-    apply_mask,
-)
+from .encoding import N_CLASSES, Dataset, FeatureGroupMask
 from .net import (
     DEFAULT_LAYER_SIZES,
     ModelMeta,
@@ -24,6 +19,7 @@ from .net import (
     NetworkTopology,
     adam_step,
     backward_batch,
+    check_compatibility,
     forward_batch,
     init_adam,
     init_network,
@@ -102,7 +98,6 @@ def train(
     if train_set.n_pairs == 0:
         raise ValueError("training set is empty")
     X, y = train_set.stacked()
-    X = apply_mask(X, config.mask)
     meta = ModelMeta(
         catalog_hash=train_set.catalog_hash,
         norms_hash=train_set.norms_hash,
@@ -159,11 +154,12 @@ def topk_errors_from_probs(
 def evaluate_topk(
     net: Network, dataset: Dataset, ks=DEFAULT_TOP_KS
 ) -> dict[int, float]:
-    """Top-k error rates on a dataset, applying the model's feature mask."""
+    """Top-k error rates on a dataset encoded with the model's catalog and
+    normalization table."""
+    check_compatibility(net, dataset.catalog_hash, dataset.norms_hash)
     if dataset.n_pairs == 0:
         raise ValueError("cannot evaluate on an empty dataset")
     X, y = dataset.stacked()
-    X = apply_mask(X, net.meta.mask)
     probs = forward_batch(net, X)
     return topk_errors_from_probs(probs, y, ks)
 

@@ -1,5 +1,6 @@
 import collections
 import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -9,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from macronet import cli, encoding
+from macronet.catalog import load_default_catalog
 from macronet.cli import EXPANSION_CSV_HEADER, expansion_curve, main
 from macronet.encoding import read_dataset
 from macronet.net import load_model
@@ -194,6 +196,42 @@ def test_analyze_csv_round_trips(pipeline, tmp_path, capsys):
         assert float(parsed["mean_probability"]) == pytest.approx(
             emitted["mean_probability"], abs=1e-6
         )
+
+
+@pytest.fixture(scope="module")
+def other_norms_dataset(pipeline):
+    """The pipeline's dataset, recorded as encoded with another norms table."""
+    path = pipeline["root"] / "other-norms.mnds"
+    with open(pipeline["dataset"], "rb") as f:
+        dataset = read_dataset(f)
+    with open(path, "wb") as f:
+        encoding.write_dataset(dataclasses.replace(dataset, norms_hash="f" * 16), f)
+    return path
+
+
+@pytest.mark.parametrize("command", ["eval", "analyze"])
+def test_model_refuses_a_dataset_from_other_norms(
+    pipeline, other_norms_dataset, tmp_path, capsys, command
+):
+    argv = [command, "--dataset", str(other_norms_dataset), "--model", str(pipeline["model"])]
+    if command == "analyze":
+        argv += ["--out", str(tmp_path / "curve.csv")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "model was trained with a different normalization table" in err
+    assert f"!= {'f' * 16}" in err
+
+
+def test_analyze_refuses_norms_other_than_the_models(pipeline, tmp_path, capsys):
+    catalog = load_default_catalog()
+    norms = encoding.load_default_norms(catalog)
+    norms.own_caps[0] += 1.0
+    norms_path = tmp_path / "other.norms"
+    with open(norms_path, "w", encoding="utf-8") as f:
+        encoding.write_norms(norms, catalog, f)
+    argv = ["analyze", "--dataset", str(pipeline["dataset"]), "--model", str(pipeline["model"])]
+    assert main(argv + ["--norms", str(norms_path), "--out", str(tmp_path / "c.csv")]) == 1
+    assert "different normalization table" in capsys.readouterr().err
 
 
 def test_simulate_json(capsys):

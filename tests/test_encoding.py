@@ -209,7 +209,7 @@ def test_mask_labels_and_parse_round_trip():
 
 def test_mask_a_cannot_be_removed():
     with pytest.raises(ValueError):
-        FeatureGroupMask(own_material=False)
+        FeatureGroupMask("bcde")
     with pytest.raises(ValueError):
         parse_mask("b+c")
 
@@ -225,6 +225,18 @@ def test_mask_bits_round_trip():
     for label in ("a", "a+b", "a+c+e", "a+b+c+d+e"):
         mask = parse_mask(label)
         assert FeatureGroupMask.from_bits(mask.to_bits()) == mask
+
+
+@pytest.mark.parametrize("bits", [0, 0b11110, 32, 0xE1, 0xFF])
+def test_mask_bits_outside_the_groups_rejected(bits):
+    with pytest.raises(ValueError):
+        FeatureGroupMask.from_bits(bits)
+
+
+@pytest.mark.parametrize("groups", ["", "ba", "aa", "abcdef", "a+b"])
+def test_mask_groups_must_be_layout_letters_in_order(groups):
+    with pytest.raises(ValueError):
+        FeatureGroupMask(groups)
 
 
 def test_apply_mask_zeroes_only_excluded_groups(rng):
@@ -381,9 +393,24 @@ def _corruption(at: int, byte: int) -> bytes:
     | st.builds(_corruption, st.integers(0, len(_DATASET_FILE) - 1), st.integers(0, 255))
 )
 @example(blob=_corruption(18, 0xFF))  # inside the catalog hash
+@example(blob=_DATASET_FILE[:-8] + b"\x7f\xf8" + _DATASET_FILE[-6:])  # last value NaN
 def test_corrupt_dataset_file_loads_or_raises_format_error(blob):
     with contextlib.suppress(FormatError):
-        read_dataset(io.BytesIO(blob))
+        for game in read_dataset(io.BytesIO(blob)).games:
+            assert ((game.vectors >= 0.0) & (game.vectors <= 1.0)).all()
+
+
+@pytest.mark.parametrize("value", [-0.5, 1.5, np.inf, np.nan])
+def test_dataset_values_outside_unit_interval_rejected_on_read(small_dataset, value):
+    game = small_dataset.games[0]
+    vectors = game.vectors.copy()
+    vectors[-1, -1] = value
+    buf = io.BytesIO()
+    write_dataset(Dataset(games=(GameRecord(game.game_id, vectors, game.actions),)), buf)
+    buf.seek(0)
+    with pytest.raises(FormatError) as err:
+        read_dataset(buf)
+    assert "outside [0, 1]" in str(err.value)
 
 
 def test_build_dataset_preserves_game_order(catalog, norms, small_logs):

@@ -9,8 +9,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gradcheck import backward, finite_difference_gradients
-from macronet.encoding import FeatureGroupMask, parse_mask
-from macronet.errors import FormatError
+from macronet.encoding import FeatureGroupMask, apply_mask, parse_mask
+from macronet.errors import CompatibilityError, FormatError
 from macronet.net import (
     DEFAULT_LAYER_SIZES,
     ModelMeta,
@@ -19,6 +19,7 @@ from macronet.net import (
     adam_step,
     backward_batch,
     batch_loss,
+    check_compatibility,
     forward,
     forward_batch,
     init_adam,
@@ -266,7 +267,7 @@ def test_save_load_bit_exact(rng):
     again = load_model(buf)
     assert again.topology == net.topology
     assert again.meta == net.meta
-    assert again.meta.mask == FeatureGroupMask(in_production=False, opponent=False)
+    assert again.meta.mask == FeatureGroupMask("ace")
     np.testing.assert_array_equal(again.params, net.params)
     assert again.model_version() == net.model_version()
 
@@ -336,6 +337,39 @@ def _corruption(at: int, byte: int) -> bytes:
 def test_corrupt_model_file_loads_or_raises_format_error(blob):
     with contextlib.suppress(FormatError):
         load_model(io.BytesIO(blob))
+
+
+def test_load_rejects_mask_bits_past_the_groups():
+    # 0xE1 keeps bit 0 (group a) but sets bits no feature group owns
+    with pytest.raises(FormatError):
+        load_model(io.BytesIO(_corruption(9, 0xE1)))
+
+
+# -- the input contract --------------------------------------------------------
+
+
+def test_masked_model_ignores_its_excluded_groups(rng):
+    mask = parse_mask("a+c")
+    net = init_network(seed=2, meta=ModelMeta(mask=mask))
+    X = rng.random((5, 210))
+    pre_masked = apply_mask(X, mask)
+    np.testing.assert_array_equal(forward(net, X[0]), forward(net, pre_masked[0]))
+    np.testing.assert_array_equal(forward_batch(net, X), forward_batch(net, pre_masked))
+    targets = np.arange(5)
+    raw, masked = backward_batch(net, X, targets), backward_batch(net, pre_masked, targets)
+    assert raw[0] == masked[0]
+    np.testing.assert_array_equal(raw[2], masked[2])
+    assert X[:, 58:].all()  # the caller's input is untouched
+
+
+def test_check_compatibility_compares_recorded_hashes():
+    net = init_network(meta=ModelMeta(catalog_hash="cat", norms_hash="nrm"))
+    check_compatibility(net, "cat", "nrm")
+    with pytest.raises(CompatibilityError, match="different catalog"):
+        check_compatibility(net, "other", "nrm")
+    with pytest.raises(CompatibilityError, match=r"normalization table \(nrm != other\)"):
+        check_compatibility(net, "cat", "other")
+    check_compatibility(init_network(), "any", "thing")  # records no hash
 
 
 def test_model_version_tracks_parameters():

@@ -1,5 +1,6 @@
 import hashlib
 import io
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from macronet.encoding import (
+    FULL_MASK,
     N_CLASSES,
     N_FEATURES,
     Dataset,
@@ -14,7 +16,8 @@ from macronet.encoding import (
     build_dataset,
     parse_mask,
 )
-from macronet.net import init_network, save_model
+from macronet.errors import CompatibilityError
+from macronet.net import ModelMeta, init_network, save_model
 from macronet.simulate import generate_synthetic_corpus
 from macronet.training import (
     AblationRow,
@@ -135,11 +138,29 @@ def test_topk_rank_matches_stable_argsort(rows):
         assert errors[k] == pytest.approx(float((position >= k).mean()))
 
 
-def test_evaluate_topk_applies_model_mask(small_dataset):
-    net = init_network(seed=0)
-    base = evaluate_topk(net, small_dataset)
+def test_evaluate_topk_applies_model_mask(small_dataset, rng):
+    """A model masked to group a scores the same whatever groups b-e hold."""
+    noisy = replace(
+        small_dataset,
+        games=tuple(
+            replace(g, vectors=np.hstack([g.vectors[:, :58], rng.random((len(g.actions), 152))]))
+            for g in small_dataset.games
+        ),
+    )
+    meta = ModelMeta(small_dataset.catalog_hash, small_dataset.norms_hash, parse_mask("a"))
+    masked = init_network(seed=0, meta=meta)
+    base = evaluate_topk(masked, small_dataset)
     assert set(base) == {1, 3, 10}
-    assert all(0.0 <= v <= 1.0 for v in base.values())
+    assert evaluate_topk(masked, noisy) == base
+    # the noise is visible to a model that sees every group
+    full = replace(masked, meta=replace(meta, mask=FULL_MASK))
+    assert evaluate_topk(full, noisy) != evaluate_topk(full, small_dataset)
+
+
+def test_evaluate_topk_rejects_data_from_other_norms(small_dataset):
+    meta = ModelMeta(small_dataset.catalog_hash, "f" * 16)
+    with pytest.raises(CompatibilityError, match="different normalization table"):
+        evaluate_topk(init_network(meta=meta), small_dataset)
 
 
 def test_untrained_net_is_chance_level_on_random_labels():
