@@ -16,6 +16,9 @@ import functools
 import hashlib
 import io
 from dataclasses import dataclass, field
+from types import MappingProxyType
+
+import numpy as np
 
 from .errors import ParseError, SchemaError
 
@@ -65,6 +68,16 @@ class EnemySpec:
 
 
 @dataclass(frozen=True)
+class BuildVectors:
+    """Per-build attributes as (58,) arrays indexed by build id."""
+
+    build_frames: np.ndarray  # int64, >= 1
+    supply_cost: np.ndarray  # int64
+    supply_provided: np.ndarray  # int64
+    one_time: np.ndarray  # bool, technologies and upgrades
+
+
+@dataclass(frozen=True)
 class BuildCatalog:
     """Immutable after load; safe to share across threads."""
 
@@ -111,6 +124,16 @@ class BuildCatalog:
     def has_enemy(self, name: str) -> bool:
         return name in self._enemy_index
 
+    @property
+    def build_index(self) -> MappingProxyType:
+        """Read-only map from own build name to id."""
+        return MappingProxyType(self._build_index)
+
+    @property
+    def enemy_index(self) -> MappingProxyType:
+        """Read-only map from enemy type name to id."""
+        return MappingProxyType(self._enemy_index)
+
     # -- derived groups -----------------------------------------------------
 
     @property
@@ -142,6 +165,20 @@ class BuildCatalog:
         """Technologies and upgrades can be owned at most once."""
         return self.build(build_id).kind is not BuildKind.UNIT_OR_BUILDING
 
+    @functools.cached_property
+    def vectors(self) -> BuildVectors:
+        """The per-build attributes that extraction and encoding read, as
+        read-only arrays indexed by build id. Built on first use only: the
+        catalog never changes."""
+        columns = [
+            np.array([getattr(b, name) for b in self.builds], dtype=np.int64)
+            for name in ("build_frames", "supply_cost", "supply_provided")
+        ]
+        columns.append(np.array([self.is_one_time(b.id) for b in self.builds]))
+        for column in columns:
+            column.setflags(write=False)
+        return BuildVectors(*columns)
+
     def content_hash(self) -> str:
         """Hash of the canonical serialization; stable across loads."""
         return self._content_hash
@@ -168,10 +205,14 @@ class BuildCatalog:
 
 def read_lines(source):
     """Yield (line number, stripped line) for each line of a byte or text
-    stream that is neither blank nor a '#' comment. Bytes decode as UTF-8."""
-    data = source.read()
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
+    stream that is neither blank nor a '#' comment. Bytes decode as UTF-8;
+    input that is not UTF-8 raises ParseError."""
+    try:
+        data = source.read()
+        if isinstance(data, bytes):
+            data = data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise ParseError(f"not UTF-8 text: {e}") from None
     for lineno, raw in enumerate(data.split("\n"), start=1):
         line = raw.strip()
         if line and not line.startswith("#"):

@@ -26,6 +26,7 @@ import logging
 import math
 import struct
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -38,7 +39,7 @@ from .catalog import (
     write_text,
 )
 from .errors import FormatError, ParseError, SchemaError
-from .forward import MacroState, extract_pairs
+from .forward import DecisionTable, MacroState, extract_pairs
 
 logger = logging.getLogger(__name__)
 
@@ -173,14 +174,18 @@ def load_default_norms(catalog: BuildCatalog) -> NormalizationTable:
 
 
 def encode(state, catalog: BuildCatalog, norms: NormalizationTable) -> np.ndarray:
-    """Vectorize one macro state into a (210,) vector, or a sequence of
-    states (one game's decision states) into an (n, 210) matrix whose row i
-    equals ``encode(state[i])`` bit for bit. Deterministic; output in [0, 1].
+    """Vectorize one macro state into a (210,) vector, or one game's decision
+    states into an (n, 210) matrix whose row i equals ``encode(state[i])``
+    bit for bit. The game may come as the ``DecisionTable`` that
+    ``extract_pairs`` returns, encoded straight from its arrays, or as a
+    sequence of states. Deterministic; output in [0, 1].
 
-    Over-cap features are logged the same way on both paths: once per
+    Over-cap features are logged the same way on every path: once per
     feature, with the value from the first state that exceeds the cap."""
-    if not isinstance(state, MacroState):
+    if isinstance(state, DecisionTable):
         return _encode_rows(state, catalog, norms)
+    if not isinstance(state, MacroState):
+        return _encode_rows(_stack_states(state), catalog, norms)
     v = np.zeros(N_FEATURES, dtype=np.float64)
     own = state.own_count / norms.own_caps
     in_prod = state.in_production_count() / norms.own_caps
@@ -205,13 +210,10 @@ def encode(state, catalog: BuildCatalog, norms: NormalizationTable) -> np.ndarra
     return v
 
 
-def _encode_rows(states, catalog: BuildCatalog, norms: NormalizationTable) -> np.ndarray:
-    """The sequence form of encode: the same arithmetic in the same order,
-    one array operation per feature block instead of one call per state."""
+def _stack_states(states) -> SimpleNamespace:
+    """A sequence of states as the integer columns _encode_rows reads, named
+    and laid out as DecisionTable's."""
     n = len(states)
-    v = np.zeros((n, N_FEATURES), dtype=np.float64)
-    if n == 0:
-        return v
     frame = np.array([s.frame for s in states], dtype=np.int64)
     used = np.array([s.supply_used for s in states], dtype=np.int64)
     supply_max = np.array([s.supply_max for s in states], dtype=np.int64)
@@ -224,10 +226,32 @@ def _encode_rows(states, catalog: BuildCatalog, norms: NormalizationTable) -> np
     in_prod_count = np.bincount(cell, minlength=n * N_OWN_BUILDS).reshape(n, N_OWN_BUILDS)
     soonest = np.full(n * N_OWN_BUILDS, np.iinfo(np.int64).max, dtype=np.int64)
     np.minimum.at(soonest, cell, entries[:, 1])
+    own = np.array([s.own_count for s in states], dtype=np.int64).reshape(n, N_OWN_BUILDS)
+    enemy = np.array([s.enemy_count for s in states], dtype=np.int64).reshape(n, N_ENEMY_TYPES)
+    return SimpleNamespace(
+        frame=frame,
+        own=own,
+        in_production=in_prod_count,
+        soonest=soonest.reshape(n, N_OWN_BUILDS),
+        enemy=enemy,
+        supply_used=used,
+        supply_max=supply_max,
+    )
 
-    own = np.stack([s.own_count for s in states]) / norms.own_caps
+
+def _encode_rows(table, catalog: BuildCatalog, norms: NormalizationTable) -> np.ndarray:
+    """The sequence form of encode: the same arithmetic in the same order,
+    one array operation per feature block instead of one call per state.
+    ``table.soonest`` is read only where ``table.in_production`` is positive."""
+    n = len(table.frame)
+    v = np.zeros((n, N_FEATURES), dtype=np.float64)
+    if n == 0:
+        return v
+    frame, in_prod_count = table.frame, table.in_production
+    used, supply_max = table.supply_used, table.supply_max
+    own = table.own / norms.own_caps
     in_prod = in_prod_count / norms.own_caps
-    enemy = np.stack([s.enemy_count for s in states]) / norms.enemy_caps
+    enemy = table.enemy / norms.enemy_caps
     over = []
     for group, block in ((OWN_SLICE, own), (IN_PRODUCTION_SLICE, in_prod), (ENEMY_SLICE, enemy)):
         hit = block > 1.0
@@ -248,8 +272,8 @@ def _encode_rows(states, catalog: BuildCatalog, norms: NormalizationTable) -> np
     v[:, IN_PRODUCTION_SLICE] = np.clip(in_prod, 0.0, 1.0)
     busy = np.flatnonzero(in_prod_count)
     busy_row, busy_id = np.divmod(busy, N_OWN_BUILDS)
-    build_frames = np.array([b.build_frames for b in catalog.builds], dtype=np.int64)
-    progress = 1.0 - (soonest[busy] - frame[busy_row]) / build_frames[busy_id]
+    build_frames = catalog.vectors.build_frames
+    progress = 1.0 - (table.soonest.ravel()[busy] - frame[busy_row]) / build_frames[busy_id]
     v[busy_row, PROGRESS_SLICE.start + busy_id] = np.minimum(1.0, np.maximum(0.0, progress))
     v[:, ENEMY_SLICE] = np.clip(enemy, 0.0, 1.0)
     supply = v[:, SUPPLY_SLICE]
@@ -369,13 +393,15 @@ class Dataset:
         return X, y
 
 
-def game_record(game_id: str, pairs, catalog: BuildCatalog, norms: NormalizationTable) -> GameRecord:
-    """One game's record from its replayed state-action pairs, encoded with
-    one sequence-form encode call."""
+def game_record(
+    game_id: str, table: DecisionTable, catalog: BuildCatalog, norms: NormalizationTable
+) -> GameRecord:
+    """One game's record from the table extract_pairs built, encoded with
+    one encode call."""
     return GameRecord(
         game_id=game_id,
-        vectors=encode([pair.state for pair in pairs], catalog, norms),
-        actions=np.array([pair.action for pair in pairs], dtype=np.int64),
+        vectors=encode(table, catalog, norms),
+        actions=table.actions,
     )
 
 

@@ -35,6 +35,9 @@ class EventKind(enum.Enum):
     ENEMY_OBSERVED = "observed"
 
 
+_KINDS = {kind.value: kind for kind in EventKind}
+
+
 @dataclass(frozen=True)
 class GameEvent:
     frame: int
@@ -54,10 +57,12 @@ class EventLog:
 def parse_event_log(source, catalog: BuildCatalog) -> EventLog:
     """Parse one event file. Rejection is total: any bad line fails the log.
 
-    Raises ParseError (malformed line, with line number), ValidationError
-    (name not resolvable in the catalog, off-race or misspelled builds),
-    or ParseError for frames that decrease.
+    Raises ParseError (malformed line, with line number; a frame is ASCII
+    decimal digits), ValidationError (name not resolvable in the catalog,
+    off-race or misspelled builds), or ParseError for frames that decrease
+    and for text that is not UTF-8.
     """
+    build_index, enemy_index = catalog.build_index, catalog.enemy_index
     game_id: str | None = None
     events: list[GameEvent] = []
     last_frame = -1
@@ -73,9 +78,12 @@ def parse_event_log(source, catalog: BuildCatalog) -> EventLog:
         if len(parts) != 3:
             raise ParseError(f"expected '<frame> <kind> <name>', got {line!r}", lineno)
         frame_text, kind_text, name = parts
+        digits = frame_text[1:] if frame_text.startswith("-") else frame_text
+        if not (digits.isascii() and digits.isdigit()):
+            raise ParseError(f"bad frame {frame_text!r}", lineno)
         try:
             frame = int(frame_text)
-        except ValueError:
+        except ValueError:  # more digits than int() converts
             raise ParseError(f"bad frame {frame_text!r}", lineno) from None
         if frame < 0:
             raise ParseError(f"negative frame {frame}", lineno)
@@ -84,23 +92,22 @@ def parse_event_log(source, catalog: BuildCatalog) -> EventLog:
                 f"event at frame {frame} after frame {last_frame}", lineno
             )
         last_frame = frame
-        try:
-            kind = EventKind(kind_text)
-        except ValueError:
-            raise ParseError(f"unknown event kind {kind_text!r}", lineno) from None
+        kind = _KINDS.get(kind_text)
+        if kind is None:
+            raise ParseError(f"unknown event kind {kind_text!r}", lineno)
         if kind is EventKind.ENEMY_OBSERVED:
-            if not catalog.has_enemy(name):
+            type_id = enemy_index.get(name)
+            if type_id is None:
                 raise ValidationError(
                     f"line {lineno}: {name!r} is not a known enemy type"
                 )
-            type_id = catalog.enemy_id(name)
         else:
-            if not catalog.has_build(name):
+            type_id = build_index.get(name)
+            if type_id is None:
                 raise ValidationError(
                     f"line {lineno}: {name!r} is not an own build "
                     "(off-race production; log rejected)"
                 )
-            type_id = catalog.build_id(name)
         events.append(GameEvent(frame=frame, kind=kind, type_id=type_id))
 
     if game_id is None:

@@ -6,13 +6,21 @@ observed enemy material, and supply. Replaying a log and snapshotting the
 state at every production start yields the state-action pairs the network
 trains on.
 
+Two paths compute those pairs. ``replay`` steps ``advance`` and
+``apply_event`` through the log one event at a time; it is the reference,
+and the match simulator uses its steps. ``extract_pairs`` builds the same
+states for a whole game at once as a ``DecisionTable`` of integer arrays,
+from cumulative counts over the events, and raises the same error at the
+same event; extraction and the encoder use it.
+
 All operations are functional: they return new states and never mutate
 their inputs, so a snapshot taken mid-replay stays valid forever.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -201,10 +209,158 @@ def replay(log: EventLog, catalog: BuildCatalog):
         state = apply_event(state, event, catalog)
 
 
-def extract_pairs(log: EventLog, catalog: BuildCatalog) -> list[StateActionPair]:
-    """One pair per Produced event, in frame order."""
-    return [
-        StateActionPair(state=state, action=event.type_id)
-        for state, event in replay(log, catalog)
-        if event.kind is EventKind.PRODUCED
-    ]
+@dataclass(frozen=True, eq=False)
+class DecisionTable(Sequence):
+    """One game's state-action pairs as read-only integer arrays, one row per
+    Produced event in event order: the decision state before the event, the
+    build it starts and when that build completes.
+
+    As a sequence it holds ``StateActionPair``s, built row by row on demand:
+    ``own_count`` and ``enemy_count`` are views of the table's rows, and
+    ``production`` is rebuilt from the earlier starts still pending.
+    """
+
+    frame: np.ndarray  # (n,)
+    own: np.ndarray  # (n, 58) completed material
+    in_production: np.ndarray  # (n, 58) pending starts of each type
+    soonest: np.ndarray  # (n, 58) completion frame of each type's soonest pending start, else 0
+    enemy: np.ndarray  # (n, 33) cumulative observed
+    supply_used: np.ndarray  # (n,)
+    supply_max: np.ndarray  # (n,)
+    actions: np.ndarray  # (n,) BuildId each row starts
+    done: np.ndarray  # (n,) completion frame of that start
+
+    def __post_init__(self):
+        for column in fields(self):
+            getattr(self, column.name).setflags(write=False)
+
+    def __len__(self) -> int:
+        return len(self.actions)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
+        i = range(len(self))[index]
+        pending = np.flatnonzero(self.done[:i] > self.frame[i])
+        state = MacroState(
+            frame=int(self.frame[i]),
+            own_count=self.own[i],
+            enemy_count=self.enemy[i],
+            production=tuple(
+                zip(self.actions[pending].tolist(), self.done[pending].tolist())
+            ),
+            supply_used=int(self.supply_used[i]),
+            supply_max=int(self.supply_max[i]),
+        )
+        return StateActionPair(state=state, action=int(self.actions[i]))
+
+
+# Columns of the per-event count matrix that extract_pairs builds: produced,
+# destroyed and observed events each count in their own block of columns,
+# indexed by type id, and a fourth block counts completed starts.
+_DESTROYED = N_OWN_BUILDS
+_OBSERVED = 2 * N_OWN_BUILDS
+_COMPLETED = _OBSERVED + N_ENEMY_TYPES
+_N_COLUMNS = _COMPLETED + N_OWN_BUILDS
+
+
+def _blocks(counts: np.ndarray):
+    """Started, destroyed, observed and completed counts: the column blocks."""
+    return (
+        counts[:, :_DESTROYED],
+        counts[:, _DESTROYED:_OBSERVED],
+        counts[:, _OBSERVED:_COMPLETED],
+        counts[:, _COMPLETED:],
+    )
+
+
+def extract_pairs(log: EventLog, catalog: BuildCatalog) -> DecisionTable:
+    """One pair per Produced event, in frame order.
+
+    Row i equals the state ``replay`` yields before the i-th Produced event,
+    and a log that ``replay`` rejects raises the same error, with the same
+    message, at the same event. One pass reads the events into arrays; each
+    later step is an array operation over the events or the starts, with no
+    events x events matrix:
+
+    - ``counts[j]`` holds, per column, the events of each kind and type
+      before event j, and the starts completed by event j's frame. A start
+      completes after its own frame (build_frames >= 1), so it completes at
+      the first event whose frame reaches its completion frame, and the
+      starts completed by a frame all come before the events at that frame.
+    - Completion frames of one type never decrease in start order, so the
+      soonest pending start of a type is the first one not yet completed.
+    """
+    vectors = catalog.vectors
+    start = initial_state(catalog)
+    n = len(log.events)
+    produced_kind, destroyed_kind = EventKind.PRODUCED, EventKind.DESTROYED
+    frame = np.array([e.frame for e in log.events], dtype=np.int64)
+    column = np.array(
+        [
+            e.type_id
+            if e.kind is produced_kind
+            else e.type_id + (_DESTROYED if e.kind is destroyed_kind else _OBSERVED)
+            for e in log.events
+        ],
+        dtype=np.int64,
+    )
+    # advance() refuses the first event behind its predecessor (or frame 0),
+    # and nothing from there on is replayed.
+    behind = np.flatnonzero(np.diff(frame, prepend=0) < 0)
+    end = int(behind[0]) if behind.size else n
+    frame, column = frame[:end], column[:end]
+
+    produced = np.flatnonzero(column < N_OWN_BUILDS)
+    actions = column[produced]
+    done = frame[produced] + vectors.build_frames[actions]
+    # int32 halves the largest transient array; no log has 2**31 events.
+    counts = np.zeros((end + 1, _N_COLUMNS), dtype=np.int32)
+    counts[np.arange(1, end + 1), column] = 1
+    np.add.at(counts, (np.searchsorted(frame, done), _COMPLETED + actions), 1)
+    np.cumsum(counts, axis=0, out=counts)
+
+    # Each event checked against the state before it, as apply_event checks:
+    # a destroy needs a completed instance, and a one-time build may be
+    # neither owned nor in production.
+    started, destroyed, _, completed = _blocks(counts)
+    kind = column // N_OWN_BUILDS  # 0 produced, 1 destroyed, 2 observed
+    at, build = np.arange(end), column % N_OWN_BUILDS
+    owned = start.own_count[build] + completed[at, build] - destroyed[at, build]
+    held = owned + started[at, build] - completed[at, build]
+    bad = (kind == 1) & (owned == 0)
+    bad |= (kind == 0) & vectors.one_time[build] & (held >= 1)
+    if bad.any():
+        event = log.events[int(bad.argmax())]
+        name = catalog.builds[event.type_id].name
+        if event.kind is EventKind.DESTROYED:
+            raise ConsistencyError(
+                f"frame {event.frame}: destroyed {name!r} but none is completed"
+            )
+        raise ConsistencyError(
+            f"frame {event.frame}: {name!r} is a one-time build "
+            "and is already owned or in production"
+        )
+    if end < n:
+        before = log.events[end - 1].frame if end else start.frame
+        raise ValueError(f"cannot advance backwards: {before} -> {log.events[end].frame}")
+
+    started, destroyed, observed, completed = _blocks(counts[produced])
+    in_production = np.subtract(started, completed, dtype=np.int64)
+    # Every start's completion frame, grouped by type in start order, then a
+    # 0 that the types with nothing pending index.
+    total = counts[end, :N_OWN_BUILDS]
+    first = np.cumsum(total) - total
+    by_type = np.zeros(len(produced) + 1, dtype=np.int64)
+    by_type[first[actions] + started[np.arange(len(produced)), actions]] = done
+    return DecisionTable(
+        frame=frame[produced],
+        own=start.own_count + completed - destroyed,
+        in_production=in_production,
+        soonest=np.where(in_production > 0, by_type[first + completed], 0),
+        enemy=observed.astype(np.int64),
+        supply_used=start.supply_used + (started - destroyed) @ vectors.supply_cost,
+        supply_max=start.supply_max + (completed - destroyed) @ vectors.supply_provided,
+        actions=actions,
+        done=done,
+    )

@@ -2,6 +2,7 @@ import collections
 import csv
 import dataclasses
 import hashlib
+import importlib
 import io
 import json
 import socket
@@ -13,6 +14,7 @@ from macronet import cli, encoding
 from macronet.catalog import load_default_catalog
 from macronet.cli import EXPANSION_CSV_HEADER, expansion_curve, main
 from macronet.encoding import read_dataset
+from macronet.events import parse_event_log
 from macronet.net import load_model
 from macronet.training import TrainConfig
 
@@ -626,6 +628,47 @@ def test_extract_replays_each_log_once(pinned_events, tmp_path, monkeypatch):
     assert len(accepted) == 25
     assert {game_id: replayed[game_id] for game_id in accepted} == dict.fromkeys(accepted, 1)
     assert replayed["onetime"] == 1
+
+
+def test_extract_never_steps_the_replay(pinned_events, tmp_path, monkeypatch):
+    """Extraction builds each game's table from whole-array operations: with
+    the step-by-step replay disabled it still writes the pinned bytes, and
+    build_dataset still encodes the same games."""
+
+    def refuse(*args):
+        raise AssertionError("extraction stepped the replay")
+
+    # The package exports net.forward under the module's name.
+    forward = importlib.import_module("macronet.forward")
+    monkeypatch.setattr(forward, "advance", refuse)
+    monkeypatch.setattr(forward, "apply_event", refuse)
+    out = tmp_path / "arrays.mnds"
+    assert main(["extract", "--events", str(pinned_events), "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == PINNED_DATASET_SHA256
+    catalog = load_default_catalog()
+    logs = []
+    for path in sorted(pinned_events.glob("synth-*.events")):
+        with open(path, "rb") as f:
+            logs.append(parse_event_log(f, catalog))
+    built = encoding.build_dataset(logs, catalog, encoding.load_default_norms(catalog))
+    with open(out, "rb") as f:
+        assert built.games == read_dataset(f).games
+
+
+def test_extract_rejects_a_log_that_is_not_utf8(pipeline, tmp_path, capsys):
+    events = tmp_path / "events"
+    events.mkdir()
+    for src in sorted(pipeline["events"].glob("*.events"))[:2]:
+        (events / src.name).write_text(src.read_text())
+    (events / "binary.events").write_bytes(b"game binary\n100 produced \xffprobe\n")
+    out = tmp_path / "d.mnds"
+    capsys.readouterr()
+    assert main(["extract", "--events", str(events), "--out", str(out), "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert [r["file"] for r in report["rejections"]] == ["binary.events"]
+    assert report["rejections"][0]["reason"].startswith("ParseError: not UTF-8 text")
+    with open(out, "rb") as f:
+        assert len(read_dataset(f).games) == 2
 
 
 def test_missing_required_option_fails(capsys):

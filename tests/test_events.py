@@ -1,6 +1,9 @@
 import io
+import string
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from macronet.errors import ParseError, ValidationError
 from macronet.events import (
@@ -94,3 +97,70 @@ def test_unknown_enemy_name_rejected(catalog):
 def test_empty_log_body_allowed(catalog):
     log = parse_event_log(io.StringIO("game empty\n"), catalog)
     assert log == EventLog(game_id="empty", events=())
+
+
+@pytest.mark.parametrize("frame", ["1_000", "+5", "\u0661\u0662", "0x10", "5.0", "-", "--5"])
+def test_frame_must_be_ascii_decimal_digits(catalog, frame):
+    with pytest.raises(ParseError) as err:
+        parse_event_log(io.StringIO(f"game g\n{frame} produced pylon\n"), catalog)
+    assert f"line 2: bad frame {frame!r}" == str(err.value)
+
+
+@st.composite
+def event_logs(draw, catalog):
+    game_id = draw(
+        st.text(string.ascii_letters + string.digits + "-_.# ", min_size=1, max_size=20)
+        .map(str.strip)
+        .filter(bool)
+    )
+    events = []
+    for frame in sorted(draw(st.lists(st.integers(0, 10**9), max_size=30))):
+        kind = draw(st.sampled_from(EventKind))
+        names = catalog.enemy_types if kind is EventKind.ENEMY_OBSERVED else catalog.builds
+        events.append(GameEvent(frame, kind, draw(st.integers(0, len(names) - 1))))
+    return EventLog(game_id=game_id, events=tuple(events))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_write_then_parse_returns_the_log(catalog, data):
+    log = data.draw(event_logs(catalog))
+    buf = io.BytesIO()
+    write_event_log(log, buf, catalog)
+    assert parse_event_log(io.BytesIO(buf.getvalue()), catalog) == log
+
+
+LINES = st.sampled_from(
+    [
+        b"game g",
+        b"0 produced pylon",
+        b"5 observed marine",
+        b"7 destroyed probe",
+        b"3 produced marine",
+        b"1_000 produced pylon",
+        "\u0661\u0662 produced probe".encode(),
+        b"-3 produced probe",
+        b"9 exploded probe",
+        b"# note",
+        b"",
+    ]
+)
+RAW_LOGS = st.binary(max_size=200) | st.lists(LINES | st.binary(max_size=12), max_size=8).map(
+    b"\n".join
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(raw=RAW_LOGS)
+@example(raw=b"game g\n0 produced \xffpylon\n")
+@example(raw=b"game g\n1_000 produced pylon\n")
+def test_arbitrary_bytes_parse_or_raise_a_parse_error(catalog, raw):
+    """Whatever is not a valid log fails as ParseError or ValidationError,
+    and whatever parses writes back to text that parses to the same log."""
+    try:
+        log = parse_event_log(io.BytesIO(raw), catalog)
+    except (ParseError, ValidationError):
+        return
+    buf = io.BytesIO()
+    write_event_log(log, buf, catalog)
+    assert parse_event_log(io.BytesIO(buf.getvalue()), catalog) == log

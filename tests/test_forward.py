@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_encoding import clamp_messages
 
+from macronet.encoding import NormalizationTable, encode
 from macronet.errors import ConsistencyError
 from macronet.events import EventKind, EventLog, GameEvent
 from macronet.forward import (
@@ -248,3 +250,96 @@ def test_advance_composition_property(catalog, frames, split):
     end = t + 3000
     mid = min(t + split, end)
     assert advance(advance(s, mid, catalog), end, catalog) == advance(s, end, catalog)
+
+
+# -- the table against the step-by-step replay ---------------------------------
+
+# Builds of every kind, whose build times (105 to 2000 frames) complete some
+# starts between events and leave others pending: two supply providers, a
+# zero-supply unit, a technology and an upgrade. Repeats weight the draw.
+# Destroys name the starting workers most of the time, and one-time builds
+# are rare, so that about a third of the logs replay to the end.
+PRODUCED_NAMES = (
+    ("probe",) * 10 + ("zealot", "scarab") + ("pylon",) * 3 + ("nexus", "psionic_storm", "leg_enhancements")
+)
+DESTROYED_NAMES = ("probe",) * 8 + ("nexus", "pylon", "zealot", "psionic_storm")
+OBSERVED_NAMES = ("marine", "scv", "siege_tank")
+KINDS = (EventKind.PRODUCED,) * 6 + (EventKind.DESTROYED,) + (EventKind.ENEMY_OBSERVED,) * 2
+
+
+@st.composite
+def fuzzed_logs(draw, catalog):
+    """Logs with nondecreasing frames, often several events on one frame,
+    destroys of builds that may not be completed, repeated one-time builds,
+    observations, and now and then one frame behind its predecessor."""
+    pools = {
+        EventKind.PRODUCED: [catalog.build_id(name) for name in PRODUCED_NAMES],
+        EventKind.DESTROYED: [catalog.build_id(name) for name in DESTROYED_NAMES],
+        EventKind.ENEMY_OBSERVED: [catalog.enemy_id(name) for name in OBSERVED_NAMES],
+    }
+    frame, events = 0, []
+    for _ in range(draw(st.integers(0, 40))):
+        frame += draw(st.sampled_from((0, 0, 1, 150, 300, 450, 700)) | st.integers(0, 2500))
+        kind = draw(st.sampled_from(KINDS))
+        events.append(GameEvent(frame, kind, draw(st.sampled_from(pools[kind]))))
+    if events and draw(st.integers(0, 4)) == 0:
+        i = draw(st.integers(0, len(events) - 1))
+        e = events[i]
+        behind = (events[i - 1].frame if i else 0) - draw(st.integers(1, 200))
+        events[i] = GameEvent(behind, e.kind, e.type_id)
+    return EventLog(game_id="fuzz", events=tuple(events))
+
+
+def replayed_pairs(log, catalog):
+    """The reference: (state, action) at every Produced event, or the error."""
+    try:
+        return [
+            (state, event.type_id)
+            for state, event in replay(log, catalog)
+            if event.kind is EventKind.PRODUCED
+        ], None
+    except (ConsistencyError, ValueError) as err:
+        return None, err
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_table_equals_replay_or_raises_the_same_error(catalog, data):
+    log = data.draw(fuzzed_logs(catalog))
+    expected, error = replayed_pairs(log, catalog)
+    if error is not None:
+        with pytest.raises(type(error)) as raised:
+            extract_pairs(log, catalog)
+        assert str(raised.value) == str(error)
+        return
+    table = extract_pairs(log, catalog)
+    assert len(table) == len(expected)
+    for pair, (state, action) in zip(table, expected):
+        assert pair.state == state
+        assert pair.action == action
+    # Caps this low clamp features in most games, so the warning order is
+    # checked too.
+    own_caps = np.full(len(catalog.builds), 2.0)
+    enemy_caps = np.full(len(catalog.enemy_types), 1.0)
+    with clamp_messages() as per_state_log:
+        norms = NormalizationTable(own_caps, enemy_caps, 20.0)
+        one_by_one = [encode(state, catalog, norms) for state, _ in expected]
+    with clamp_messages() as table_log:
+        got = encode(table, catalog, NormalizationTable(own_caps, enemy_caps, 20.0))
+    assert got.shape == (len(expected), 210)
+    if expected:
+        assert got.tobytes() == np.stack(one_by_one).tobytes()
+    assert table_log == per_state_log
+
+
+def test_table_rows_are_read_only_views(catalog, small_logs):
+    table = extract_pairs(small_logs[0], catalog)
+    last = table[-1].state
+    with pytest.raises(ValueError):
+        last.own_count[0] = 99
+    with pytest.raises(ValueError):
+        last.enemy_count[0] = 99
+    assert last == table[len(table) - 1].state
+    assert table[3:5] == [table[3], table[4]]
+    with pytest.raises(IndexError):
+        table[len(table)]
