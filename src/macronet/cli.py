@@ -17,7 +17,9 @@ codes: 0 success, 1 rejected input or runtime failure, 2 usage.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
+import os
 import signal
 import sys
 import threading
@@ -93,7 +95,23 @@ def _emit(args, human: str, machine: dict) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _create_beside(path: Path):
+    """A new file in path's directory, created with the permissions open()
+    gives a new file (the umask's, not mkstemp's 0600): (its path, its
+    binary stream)."""
+    for attempt in itertools.count():
+        tmp = path.with_name(f".{path.name}.{os.getpid()}.{attempt}.tmp")
+        try:
+            return tmp, open(tmp, "xb")
+        except FileExistsError:
+            continue
+
+
 def cmd_extract(args) -> int:
+    """Parse, replay and encode each log in turn, writing each game's record
+    as soon as it is encoded, so memory holds one game, not the corpus. The
+    records go to a temporary file beside --out, which replaces --out only
+    once every log is done: a run that fails leaves --out as it was."""
     catalog = _load_catalog(args.catalog)
     norms = _load_norms(args.norms, catalog)
     events_dir = Path(args.events)
@@ -102,26 +120,44 @@ def cmd_extract(args) -> int:
     paths = sorted(events_dir.glob(f"*{EVENT_FILE_SUFFIX}"))
     if not paths:
         raise MacronetError(f"no {EVENT_FILE_SUFFIX} files in {events_dir}")
-    games, rejections = [], []
-    for path in paths:
-        try:
-            with open(path, "r", encoding="utf-8") as f:
-                log = parse_event_log(f, catalog)
-            pairs = extract_pairs(log, catalog)
-        except MacronetError as e:
-            rejections.append((path.name, f"{type(e).__name__}: {e}"))
-            continue
-        games.append(encoding.game_record(log.game_id, pairs, catalog, norms))
+    # Through a symlink, the file it names is the one replaced.
+    out = Path(os.path.realpath(args.out))
+    if out.exists() and not out.is_file():
+        raise MacronetError(f"{args.out} exists and is not a regular file")
+    rejections = []
+    n_games = n_pairs = 0
+
+    def records():
+        nonlocal n_games, n_pairs
+        for path in paths:
+            try:
+                with open(path, "r", encoding="utf-8") as f:
+                    log = parse_event_log(f, catalog)
+                pairs = extract_pairs(log, catalog)
+            except MacronetError as e:
+                rejections.append((path.name, f"{type(e).__name__}: {e}"))
+                continue
+            record = encoding.game_record(log.game_id, pairs, catalog, norms)
+            n_games += 1
+            n_pairs += len(record.actions)
+            yield record
+
     dataset = encoding.Dataset(
-        games=tuple(games),
+        games=records(),
         catalog_hash=catalog.content_hash(),
         norms_hash=norms.content_hash(),
     )
-    with open(args.out, "wb") as f:
-        encoding.write_dataset(dataset, f)
+    tmp, f = _create_beside(out)
+    try:
+        with f:
+            encoding.write_dataset(dataset, f)
+        os.replace(tmp, out)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
     lines = [
-        f"games accepted: {len(dataset.games)}",
-        f"pairs: {dataset.n_pairs}",
+        f"games accepted: {n_games}",
+        f"pairs: {n_pairs}",
         f"rejected: {len(rejections)}",
     ]
     lines += [f"  {name}: {reason}" for name, reason in rejections]
@@ -130,8 +166,8 @@ def cmd_extract(args) -> int:
         args,
         "\n".join(lines),
         {
-            "games": len(dataset.games),
-            "pairs": dataset.n_pairs,
+            "games": n_games,
+            "pairs": n_pairs,
             "rejections": [{"file": n, "reason": r} for n, r in rejections],
             "out": str(args.out),
         },

@@ -420,11 +420,17 @@ def build_dataset(logs, catalog: BuildCatalog, norms: NormalizationTable) -> Dat
 
 _DATASET_MAGIC = b"MNDS"
 _DATASET_VERSION = 1
+MAX_STR_BYTES = 0xFFFF  # the most a string field's 2-byte length can count
 
 
 def write_str(sink, s: str) -> None:
-    """A binary file's string field: a 2-byte length, then UTF-8 bytes."""
+    """A binary file's string field: a 2-byte length, then UTF-8 bytes.
+    A string longer than MAX_STR_BYTES bytes raises FormatError."""
     data = s.encode("utf-8")
+    if len(data) > MAX_STR_BYTES:
+        raise FormatError(
+            f"string field of {len(data)} UTF-8 bytes, over the limit of {MAX_STR_BYTES}"
+        )
     sink.write(struct.pack(">H", len(data)))
     sink.write(data)
 
@@ -461,12 +467,20 @@ class Cursor:
 
 def write_dataset(dataset: Dataset, sink) -> None:
     """Binary dataset file: header, then per-game actions and full-precision
-    vectors. Deterministic; round-trips through read_dataset."""
+    vectors. Deterministic; round-trips through read_dataset.
+
+    ``dataset.games`` is read once, as any iterable, and each record is
+    written as it arrives, so a generator of records is written with one
+    game in memory at a time. The game count goes in as a placeholder and
+    is overwritten after the last record, so ``sink`` must be seekable; it
+    is left at the end of the file."""
     sink.write(_DATASET_MAGIC)
     sink.write(struct.pack(">III", _DATASET_VERSION, N_FEATURES, N_CLASSES))
     write_str(sink, dataset.catalog_hash)
     write_str(sink, dataset.norms_hash)
-    sink.write(struct.pack(">I", len(dataset.games)))
+    count_at = sink.tell()
+    sink.write(struct.pack(">I", 0))
+    n_games = 0
     for game in dataset.games:
         write_str(sink, game.game_id)
         n = len(game.actions)
@@ -476,8 +490,13 @@ def write_dataset(dataset: Dataset, sink) -> None:
                 f"does not match {n} pairs x {N_FEATURES} features"
             )
         sink.write(struct.pack(">I", n))
-        sink.write(game.actions.astype(">u2").tobytes())
-        sink.write(game.vectors.astype(">f8").tobytes())
+        sink.write(game.actions.astype(">u2", order="C"))
+        sink.write(game.vectors.astype(">f8", order="C"))
+        n_games += 1
+    end = sink.tell()
+    sink.seek(count_at)
+    sink.write(struct.pack(">I", n_games))
+    sink.seek(end)
 
 
 def read_dataset(source) -> Dataset:

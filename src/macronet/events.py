@@ -28,6 +28,11 @@ from .errors import ParseError, ValidationError
 
 EVENT_FILE_SUFFIX = ".events"
 
+# The last frame a log may name: replay adds a build time to it in int64.
+MAX_FRAME = 2**62
+# A game id's UTF-8 length limit: the dataset file stores it behind 2 bytes.
+MAX_GAME_ID_BYTES = 0xFFFF
+
 
 class EventKind(enum.Enum):
     PRODUCED = "produced"
@@ -58,9 +63,10 @@ def parse_event_log(source, catalog: BuildCatalog) -> EventLog:
     """Parse one event file. Rejection is total: any bad line fails the log.
 
     Raises ParseError (malformed line, with line number; a frame is ASCII
-    decimal digits), ValidationError (name not resolvable in the catalog,
-    off-race or misspelled builds), or ParseError for frames that decrease
-    and for text that is not UTF-8.
+    decimal digits no greater than MAX_FRAME; a game id is at most
+    MAX_GAME_ID_BYTES bytes of UTF-8), ValidationError (name not resolvable
+    in the catalog, off-race or misspelled builds), or ParseError for frames
+    that decrease and for text that is not UTF-8.
     """
     build_index, enemy_index = catalog.build_index, catalog.enemy_index
     game_id: str | None = None
@@ -73,6 +79,10 @@ def parse_event_log(source, catalog: BuildCatalog) -> EventLog:
             game_id = line[len("game ") :].strip()
             if not game_id:
                 raise ParseError("empty game id", lineno)
+            if len(game_id.encode("utf-8")) > MAX_GAME_ID_BYTES:
+                raise ParseError(
+                    f"game id longer than {MAX_GAME_ID_BYTES} bytes of UTF-8", lineno
+                )
             continue
         parts = line.split()
         if len(parts) != 3:
@@ -87,6 +97,8 @@ def parse_event_log(source, catalog: BuildCatalog) -> EventLog:
             raise ParseError(f"bad frame {frame_text!r}", lineno) from None
         if frame < 0:
             raise ParseError(f"negative frame {frame}", lineno)
+        if frame > MAX_FRAME:
+            raise ParseError(f"frame {frame} is past the last frame {MAX_FRAME}", lineno)
         if frame < last_frame:
             raise ParseError(
                 f"event at frame {frame} after frame {last_frame}", lineno

@@ -5,7 +5,10 @@ import hashlib
 import importlib
 import io
 import json
+import os
 import socket
+import stat
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -669,6 +672,100 @@ def test_extract_rejects_a_log_that_is_not_utf8(pipeline, tmp_path, capsys):
     assert report["rejections"][0]["reason"].startswith("ParseError: not UTF-8 text")
     with open(out, "rb") as f:
         assert len(read_dataset(f).games) == 2
+
+
+def test_extract_rejects_only_the_log_with_an_oversized_frame(pipeline, tmp_path, capsys):
+    events = tmp_path / "events"
+    events.mkdir()
+    for src in sorted(pipeline["events"].glob("*.events"))[:2]:
+        (events / src.name).write_text(src.read_text())
+    (events / "huge.events").write_text("game huge\n99999999999999999999 produced probe\n")
+    out = tmp_path / "d.mnds"
+    capsys.readouterr()
+    assert main(["extract", "--events", str(events), "--out", str(out), "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["rejections"] == [
+        {
+            "file": "huge.events",
+            "reason": "ParseError: line 2: frame 99999999999999999999 is past the last "
+            "frame 4611686018427387904",
+        }
+    ]
+    with open(out, "rb") as f:
+        assert len(read_dataset(f).games) == 2
+
+
+def _extract_peak_bytes(events: Path, out: Path) -> int:
+    tracemalloc.start()
+    try:
+        assert main(["extract", "--events", str(events), "--out", str(out)]) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_extract_memory_is_bounded_by_one_game(tmp_path, capsys):
+    """Records are written as they are encoded, so four times the games do
+    not take four times the memory."""
+    everything = tmp_path / "80"
+    assert main(["synth", "--games", "80", "--seed", "2", "--out", str(everything)]) == 0
+    some = tmp_path / "20"
+    some.mkdir()
+    for src in sorted(everything.glob("*.events"))[:20]:
+        (some / src.name).write_text(src.read_text())
+    out = tmp_path / "d.mnds"
+    assert main(["extract", "--events", str(some), "--out", str(out)]) == 0  # warm caches
+    small = _extract_peak_bytes(some, out)
+    large = _extract_peak_bytes(everything, out)
+    capsys.readouterr()
+    assert large <= 1.5 * small, (small, large)
+
+
+@pytest.mark.parametrize("step", ["game_record", "write_str"])
+def test_failed_extract_leaves_out_as_it_was(pipeline, tmp_path, monkeypatch, capsys, step):
+    """A run that fails on the third game, while encoding it or while
+    writing it, leaves --out byte-identical and no temporary file behind."""
+    out = tmp_path / "d.mnds"
+    out.write_bytes(b"the previous dataset")
+    third = sorted(pipeline["events"].glob("*.events"))[2].stem
+    original = getattr(encoding, step)
+
+    def failing(*args):
+        if third in args:
+            raise OSError("no space left on device")
+        return original(*args)
+
+    monkeypatch.setattr(encoding, step, failing)
+    assert main(["extract", "--events", str(pipeline["events"]), "--out", str(out)]) == 1
+    assert "no space left on device" in capsys.readouterr().err
+    assert out.read_bytes() == b"the previous dataset"
+    assert [p.name for p in tmp_path.iterdir()] == ["d.mnds"]
+
+
+def test_extract_refuses_an_out_that_is_not_a_regular_file(pipeline, capsys):
+    argv = ["extract", "--events", str(pipeline["events"]), "--out", os.devnull]
+    assert main(argv) == 1
+    assert "is not a regular file" in capsys.readouterr().err
+
+
+def test_extract_out_takes_the_umask_permissions(pipeline, tmp_path):
+    out = tmp_path / "d.mnds"
+    mask = os.umask(0o027)
+    try:
+        assert main(["extract", "--events", str(pipeline["events"]), "--out", str(out)]) == 0
+    finally:
+        os.umask(mask)
+    assert stat.S_IMODE(out.stat().st_mode) == 0o640
+
+
+def test_extract_writes_through_a_symlinked_out(pipeline, tmp_path):
+    target = tmp_path / "target.mnds"
+    target.write_bytes(b"old")
+    link = tmp_path / "link.mnds"
+    link.symlink_to(target)
+    assert main(["extract", "--events", str(pipeline["events"]), "--out", str(link)]) == 0
+    assert link.is_symlink()
+    assert target.read_bytes() == pipeline["dataset"].read_bytes()
 
 
 def test_missing_required_option_fails(capsys):

@@ -413,6 +413,43 @@ def test_dataset_values_outside_unit_interval_rejected_on_read(small_dataset, va
     assert "outside [0, 1]" in str(err.value)
 
 
+def test_write_str_over_the_length_field_raises_format_error():
+    buf = io.BytesIO()
+    encoding.write_str(buf, "x" * encoding.MAX_STR_BYTES)
+    assert len(buf.getvalue()) == 2 + encoding.MAX_STR_BYTES
+    with pytest.raises(FormatError) as err:
+        encoding.write_str(io.BytesIO(), "x" * (encoding.MAX_STR_BYTES + 1))
+    assert "over the limit of 65535" in str(err.value)
+
+
+@st.composite
+def game_records(draw):
+    n = draw(st.integers(0, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return GameRecord(
+        game_id=draw(st.text(max_size=8)),
+        vectors=rng.random((n, N_FEATURES)),
+        actions=rng.integers(0, N_CLASSES, n),
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(games=st.lists(game_records(), max_size=4))
+@example(games=[])
+@example(games=[GameRecord("none", np.zeros((0, N_FEATURES)), np.zeros(0, np.int64))])
+def test_write_dataset_streams_any_iterable_of_games(games):
+    """A one-shot generator of records writes the bytes a tuple does, and
+    those bytes read back as the same games."""
+    as_tuple, as_generator = io.BytesIO(), io.BytesIO()
+    write_dataset(Dataset(tuple(games), "c" * 16, "n" * 16), as_tuple)
+    write_dataset(Dataset((g for g in games), "c" * 16, "n" * 16), as_generator)
+    assert as_generator.getvalue() == as_tuple.getvalue()
+    assert as_generator.tell() == len(as_generator.getvalue())
+    again = read_dataset(io.BytesIO(as_generator.getvalue()))
+    assert again.games == tuple(games)
+    assert (again.catalog_hash, again.norms_hash) == ("c" * 16, "n" * 16)
+
+
 def test_build_dataset_preserves_game_order(catalog, norms, small_logs):
     ds = build_dataset(small_logs, catalog, norms)
     assert [g.game_id for g in ds.games] == [l.game_id for l in small_logs]

@@ -7,12 +7,15 @@ from hypothesis import strategies as st
 
 from macronet.errors import ParseError, ValidationError
 from macronet.events import (
+    MAX_FRAME,
+    MAX_GAME_ID_BYTES,
     EventKind,
     EventLog,
     GameEvent,
     parse_event_log,
     write_event_log,
 )
+from macronet.forward import extract_pairs
 
 VALID = """\
 game demo-1
@@ -104,6 +107,32 @@ def test_frame_must_be_ascii_decimal_digits(catalog, frame):
     with pytest.raises(ParseError) as err:
         parse_event_log(io.StringIO(f"game g\n{frame} produced pylon\n"), catalog)
     assert f"line 2: bad frame {frame!r}" == str(err.value)
+
+
+@pytest.mark.parametrize("frame", [MAX_FRAME + 1, 2**63 - 1, 99999999999999999999])
+def test_frame_past_the_last_frame_rejected(catalog, frame):
+    with pytest.raises(ParseError) as err:
+        parse_event_log(io.StringIO(f"game g\n{frame} produced pylon\n"), catalog)
+    assert str(err.value) == f"line 2: frame {frame} is past the last frame {MAX_FRAME}"
+
+
+def test_last_frame_completes_without_wrapping(catalog):
+    log = parse_event_log(
+        io.StringIO(f"game g\n{MAX_FRAME} produced pylon\n{MAX_FRAME} produced probe\n"),
+        catalog,
+    )
+    table = extract_pairs(log, catalog)
+    pylon = catalog.build_id("pylon")
+    assert table.done[0] == MAX_FRAME + catalog.builds[pylon].build_frames
+    assert table.soonest[1, pylon] == table.done[0]
+
+
+def test_game_id_longer_than_the_dataset_field_rejected(catalog):
+    fits = "\u00e9" * (MAX_GAME_ID_BYTES // 2)  # two UTF-8 bytes each
+    assert parse_event_log(io.StringIO(f"game {fits}\n"), catalog).game_id == fits
+    with pytest.raises(ParseError) as err:
+        parse_event_log(io.StringIO(f"game {fits}\u00e9\n"), catalog)
+    assert str(err.value) == f"line 1: game id longer than {MAX_GAME_ID_BYTES} bytes of UTF-8"
 
 
 @st.composite
