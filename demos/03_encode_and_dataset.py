@@ -74,6 +74,7 @@ buf = io.BytesIO()
 write_dataset(dataset, buf)
 buf.seek(0)
 again = read_dataset(buf)
-assert again == dataset
+assert again.games == dataset.games
+assert (again.catalog_hash, again.norms_hash) == (dataset.catalog_hash, dataset.norms_hash)
 print(f"serialized {len(buf.getvalue()):,} bytes, round-trip ok")
 print(f"pipeline hashes: catalog={again.catalog_hash} norms={again.norms_hash}")

@@ -24,6 +24,7 @@ import signal
 import sys
 import threading
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -142,10 +143,8 @@ def cmd_extract(args) -> int:
             n_pairs += len(record.actions)
             yield record
 
-    dataset = encoding.Dataset(
-        games=records(),
-        catalog_hash=catalog.content_hash(),
-        norms_hash=norms.content_hash(),
+    dataset = SimpleNamespace(
+        games=records(), catalog_hash=catalog.content_hash(), norms_hash=norms.content_hash()
     )
     tmp, f = _create_beside(out)
     try:
@@ -317,8 +316,6 @@ def expansion_curve(model: net.Network, dataset: encoding.Dataset, catalog, norm
     worker = catalog.worker_id
     main = catalog.main_building_id
     X, _ = dataset.stacked()
-    if len(X) == 0:
-        return []
     own_main = np.rint(X[:, main] * norms.own_caps[main]).astype(int)
     inprod_main = np.rint(
         X[:, encoding.IN_PRODUCTION_SLICE.start + main] * norms.own_caps[main]
@@ -457,10 +454,11 @@ _REQUIRED: dict[str, tuple[str, ...]] = {
 
 
 def _add_policy_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--mode", choices=["greedy", "probabilistic", "random"], default="greedy")
+    default = policy.DecisionPolicy()
+    p.add_argument("--mode", choices=[m.value for m in policy.Mode], default=default.mode.value)
     p.add_argument("--blind", action="store_true")
     p.add_argument("--exclude", default="", help="comma-separated build names, or 'default'")
-    p.add_argument("--policy-seed", type=int, dest="policy_seed", default=0)
+    p.add_argument("--policy-seed", type=int, dest="policy_seed", default=default.seed)
 
 
 def _add_train_flags(p: argparse.ArgumentParser) -> None:
@@ -474,7 +472,8 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--mask", default=config.mask.label(), help="feature groups, e.g. a+b+c+d+e"
     )
-    p.add_argument("--split-fraction", type=float, dest="split_fraction", default=0.8)
+    p.add_argument("--split-fraction", type=float, dest="split_fraction",
+                   default=training.DEFAULT_SPLIT_FRACTION)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -506,7 +505,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--games", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--p-first", type=float, dest="p_first", default=0.7)
+    p.add_argument("--p-first", type=float, dest="p_first", default=simulate.DEFAULT_P_FIRST)
     p.add_argument(
         "--script", default="", help="comma-separated build names (fixed generator)"
     )
@@ -522,7 +521,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("eval", cmd_eval, "top-k error of a model with baselines", files=())
     p.add_argument("--dataset")
     p.add_argument("--model")
-    p.add_argument("--split-fraction", type=float, dest="split_fraction", default=0.8)
+    p.add_argument("--split-fraction", type=float, dest="split_fraction",
+                   default=training.DEFAULT_SPLIT_FRACTION)
     p.add_argument("--all", action="store_true", help="evaluate on every pair")
     p.add_argument("--seed", type=int, default=0)
 
@@ -531,7 +531,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--masks", default="a,a+d,a+b+c+e,a+b+c+d+e", help="comma-separated mask labels"
     )
-    p.add_argument("--repeats", type=int, default=5)
+    p.add_argument("--repeats", type=int, default=training.DEFAULT_REPEATS)
     _add_train_flags(p)
 
     p = command("analyze", cmd_analyze, "expansion probability by worker count")

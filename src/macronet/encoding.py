@@ -26,7 +26,6 @@ import logging
 import math
 import struct
 from dataclasses import dataclass, field
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -39,7 +38,7 @@ from .catalog import (
     write_text,
 )
 from .errors import FormatError, ParseError, SchemaError
-from .forward import DecisionTable, MacroState, extract_pairs
+from .forward import DecisionTable, extract_pairs
 
 logger = logging.getLogger(__name__)
 
@@ -140,13 +139,12 @@ def load_norms(source, catalog: BuildCatalog) -> NormalizationTable:
         extra = set(table) - {spec.name for spec in specs}
         if extra:
             raise SchemaError(f"{section}: caps for unknown names {sorted(extra)}")
-    if "supply" not in entries["supply"]:
+    supply = entries["supply"]
+    if "supply" not in supply:
         raise SchemaError("supply: missing 'supply, <cap>' entry")
-    return NormalizationTable(
-        own_caps=own_caps,
-        enemy_caps=enemy_caps,
-        supply_cap=entries["supply"]["supply"],
-    )
+    if len(supply) > 1:
+        raise SchemaError(f"supply: caps for unknown names {sorted(set(supply) - {'supply'})}")
+    return NormalizationTable(own_caps=own_caps, enemy_caps=enemy_caps, supply_cap=supply["supply"])
 
 
 def write_norms(norms: NormalizationTable, catalog: BuildCatalog, sink) -> None:
@@ -174,18 +172,15 @@ def load_default_norms(catalog: BuildCatalog) -> NormalizationTable:
 
 
 def encode(state, catalog: BuildCatalog, norms: NormalizationTable) -> np.ndarray:
-    """Vectorize one macro state into a (210,) vector, or one game's decision
-    states into an (n, 210) matrix whose row i equals ``encode(state[i])``
-    bit for bit. The game may come as the ``DecisionTable`` that
-    ``extract_pairs`` returns, encoded straight from its arrays, or as a
-    sequence of states. Deterministic; output in [0, 1].
+    """Vectorize one ``MacroState`` into a (210,) vector, or one game's
+    ``DecisionTable``, as ``extract_pairs`` returns it, straight from its
+    arrays into an (n, 210) matrix whose row i equals the encoding of state
+    i bit for bit. Deterministic; output in [0, 1].
 
-    Over-cap features are logged the same way on every path: once per
+    Over-cap features are logged the same way on both paths: once per
     feature, with the value from the first state that exceeds the cap."""
     if isinstance(state, DecisionTable):
         return _encode_rows(state, catalog, norms)
-    if not isinstance(state, MacroState):
-        return _encode_rows(_stack_states(state), catalog, norms)
     v = np.zeros(N_FEATURES, dtype=np.float64)
     own = state.own_count / norms.own_caps
     in_prod = state.in_production_count() / norms.own_caps
@@ -210,37 +205,8 @@ def encode(state, catalog: BuildCatalog, norms: NormalizationTable) -> np.ndarra
     return v
 
 
-def _stack_states(states) -> SimpleNamespace:
-    """A sequence of states as the integer columns _encode_rows reads, named
-    and laid out as DecisionTable's."""
-    n = len(states)
-    frame = np.array([s.frame for s in states], dtype=np.int64)
-    used = np.array([s.supply_used for s in states], dtype=np.int64)
-    supply_max = np.array([s.supply_max for s in states], dtype=np.int64)
-    # Every production entry as a flat cell index row * 58 + build_id.
-    per_row = [len(s.production) for s in states]
-    entries = np.array(
-        [entry for s in states for entry in s.production], dtype=np.int64
-    ).reshape(-1, 2)
-    cell = np.repeat(np.arange(n), per_row) * N_OWN_BUILDS + entries[:, 0]
-    in_prod_count = np.bincount(cell, minlength=n * N_OWN_BUILDS).reshape(n, N_OWN_BUILDS)
-    soonest = np.full(n * N_OWN_BUILDS, np.iinfo(np.int64).max, dtype=np.int64)
-    np.minimum.at(soonest, cell, entries[:, 1])
-    own = np.array([s.own_count for s in states], dtype=np.int64).reshape(n, N_OWN_BUILDS)
-    enemy = np.array([s.enemy_count for s in states], dtype=np.int64).reshape(n, N_ENEMY_TYPES)
-    return SimpleNamespace(
-        frame=frame,
-        own=own,
-        in_production=in_prod_count,
-        soonest=soonest.reshape(n, N_OWN_BUILDS),
-        enemy=enemy,
-        supply_used=used,
-        supply_max=supply_max,
-    )
-
-
 def _encode_rows(table, catalog: BuildCatalog, norms: NormalizationTable) -> np.ndarray:
-    """The sequence form of encode: the same arithmetic in the same order,
+    """The table form of encode: the same arithmetic in the same order,
     one array operation per feature block instead of one call per state.
     ``table.soonest`` is read only where ``table.in_production`` is positive."""
     n = len(table.frame)
@@ -368,29 +334,50 @@ class GameRecord:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dataset:
-    """Ordered per-game records plus the hashes of the artifacts that encoded
-    them, carried along so trained models can record their pipeline."""
+    """Every pair once, in game order: game i is rows ``bounds[i]:bounds[i + 1]``
+    of the read-only arrays, which ``stacked()``, ``games`` and ``split_dataset``
+    hand out as views, never copies. The hashes of the artifacts that encoded
+    the pairs are carried along so trained models can record their pipeline."""
 
-    games: tuple[GameRecord, ...]
-    catalog_hash: str = ""
-    norms_hash: str = ""
+    vectors: np.ndarray  # (N, 210) float64
+    actions: np.ndarray  # (N,) int64 in [0, 58)
+    game_ids: tuple[str, ...]
+    bounds: np.ndarray  # (n_games + 1,) int64, rising from 0 to N
+    catalog_hash: str
+    norms_hash: str
+
+    def __post_init__(self):
+        for array in (self.vectors, self.actions, self.bounds):
+            array.flags.writeable = False
+
+    @classmethod
+    def from_games(cls, records, catalog_hash: str = "", norms_hash: str = "") -> Dataset:
+        """The dataset of these per-game records, copied once into its arrays."""
+        records = tuple(records)
+        return cls(
+            vectors=np.concatenate([np.empty((0, N_FEATURES)), *(r.vectors for r in records)]),
+            actions=np.concatenate([np.empty(0, np.int64), *(r.actions for r in records)]),
+            game_ids=tuple(r.game_id for r in records),
+            bounds=np.cumsum([0, *(len(r.actions) for r in records)], dtype=np.int64),
+            catalog_hash=catalog_hash,
+            norms_hash=norms_hash,
+        )
 
     @property
     def n_pairs(self) -> int:
-        return sum(len(g.actions) for g in self.games)
+        return len(self.actions)
+
+    @property
+    def games(self) -> tuple[GameRecord, ...]:
+        """Each game's record, as views of its rows."""
+        vectors, actions = (np.split(a, self.bounds[1:-1]) for a in self.stacked())
+        return tuple(map(GameRecord, self.game_ids, vectors, actions))
 
     def stacked(self) -> tuple[np.ndarray, np.ndarray]:
-        """All pairs concatenated in game order: (X, y)."""
-        if not self.games:
-            return (
-                np.zeros((0, N_FEATURES), dtype=np.float64),
-                np.zeros(0, dtype=np.int64),
-            )
-        X = np.concatenate([g.vectors for g in self.games], axis=0)
-        y = np.concatenate([g.actions for g in self.games], axis=0)
-        return X, y
+        """All pairs in game order, (X, y): the dataset's own arrays."""
+        return self.vectors, self.actions
 
 
 def game_record(
@@ -408,13 +395,10 @@ def game_record(
 def build_dataset(logs, catalog: BuildCatalog, norms: NormalizationTable) -> Dataset:
     """Extract and encode a corpus of event logs, preserving game order.
     Each log is replayed once and each game encoded in one call."""
-    return Dataset(
-        games=tuple(
-            game_record(log.game_id, extract_pairs(log, catalog), catalog, norms)
-            for log in logs
-        ),
-        catalog_hash=catalog.content_hash(),
-        norms_hash=norms.content_hash(),
+    return Dataset.from_games(
+        (game_record(log.game_id, extract_pairs(log, catalog), catalog, norms) for log in logs),
+        catalog.content_hash(),
+        norms.content_hash(),
     )
 
 
@@ -436,15 +420,16 @@ def write_str(sink, s: str) -> None:
 
 
 class Cursor:
-    """Reads a binary file's fields in order. Running past the end or a bad
-    string raises FormatError, which names the file's kind."""
+    """Reads a binary file's fields in order, as zero-copy slices of its
+    bytes. Running past the end or a bad string raises FormatError, which
+    names the file's kind."""
 
     def __init__(self, data: bytes, kind: str):
-        self.data = data
+        self.data = memoryview(data)
         self.kind = kind
         self.pos = 0
 
-    def take(self, n: int) -> bytes:
+    def take(self, n: int) -> memoryview:
         if self.pos + n > len(self.data):
             raise FormatError(f"truncated {self.kind} file")
         chunk = self.data[self.pos : self.pos + n]
@@ -457,7 +442,7 @@ class Cursor:
     def read_str(self) -> str:
         (n,) = self.unpack(">H")
         try:
-            return self.take(n).decode("utf-8")
+            return str(self.take(n), "utf-8")
         except UnicodeDecodeError:
             raise FormatError(f"string field of the {self.kind} file is not UTF-8") from None
 
@@ -465,15 +450,16 @@ class Cursor:
         return self.pos == len(self.data)
 
 
-def write_dataset(dataset: Dataset, sink) -> None:
+def write_dataset(dataset, sink) -> None:
     """Binary dataset file: header, then per-game actions and full-precision
     vectors. Deterministic; round-trips through read_dataset.
 
-    ``dataset.games`` is read once, as any iterable, and each record is
-    written as it arrives, so a generator of records is written with one
-    game in memory at a time. The game count goes in as a placeholder and
-    is overwritten after the last record, so ``sink`` must be seekable; it
-    is left at the end of the file."""
+    ``dataset`` is a ``Dataset`` or any object with its ``games``,
+    ``catalog_hash`` and ``norms_hash``. ``games`` is read once, as any
+    iterable of ``GameRecord``s, and each record is written as it arrives,
+    so a generator of records is written with one game in memory. The game
+    count is patched in after the last record, so ``sink`` must be
+    seekable; it is left at the end of the file."""
     sink.write(_DATASET_MAGIC)
     sink.write(struct.pack(">III", _DATASET_VERSION, N_FEATURES, N_CLASSES))
     write_str(sink, dataset.catalog_hash)
@@ -500,6 +486,8 @@ def write_dataset(dataset: Dataset, sink) -> None:
 
 
 def read_dataset(source) -> Dataset:
+    """The record headers size the dataset's matrix, then each game's block
+    is converted straight into its rows and checked there: no per-game copy."""
     cur = Cursor(source.read(), "dataset")
     if cur.take(4) != _DATASET_MAGIC:
         raise FormatError("not a dataset file (bad magic)")
@@ -514,22 +502,25 @@ def read_dataset(source) -> Dataset:
     catalog_hash = cur.read_str()
     norms_hash = cur.read_str()
     (n_games,) = cur.unpack(">I")
-    games = []
+    game_ids, blocks = [], []
     for _ in range(n_games):
         game_id = cur.read_str()
         (n,) = cur.unpack(">I")
-        actions = np.frombuffer(cur.take(n * 2), dtype=">u2").astype(np.int64)
-        if np.any(actions >= N_CLASSES):
+        game_actions = np.frombuffer(cur.take(n * 2), dtype=">u2")
+        if np.any(game_actions >= N_CLASSES):
             raise FormatError(f"game {game_id!r}: action index out of range")
-        vectors = (
-            np.frombuffer(cur.take(n * N_FEATURES * 8), dtype=">f8")
-            .reshape(n, N_FEATURES)
-            .astype(np.float64)
-        )
-        if n and not 0.0 <= vectors.min() <= vectors.max() <= 1.0:
-            raise FormatError(f"game {game_id!r}: feature value outside [0, 1]")
-        games.append(GameRecord(game_id=game_id, vectors=vectors, actions=actions))
+        block = np.frombuffer(cur.take(n * N_FEATURES * 8), dtype=">f8").reshape(n, N_FEATURES)
+        game_ids.append(game_id)
+        blocks.append((game_actions, block))
     if not cur.done():
         raise FormatError("trailing bytes after last game record")
-    return Dataset(games=tuple(games), catalog_hash=catalog_hash, norms_hash=norms_hash)
-
+    bounds = np.cumsum([0, *(len(a) for a, _ in blocks)], dtype=np.int64)
+    vectors = np.empty((bounds[-1], N_FEATURES))
+    actions = np.empty(bounds[-1], dtype=np.int64)
+    for game_id, start, stop, (game_actions, block) in zip(game_ids, bounds, bounds[1:], blocks):
+        actions[start:stop] = game_actions
+        rows = vectors[start:stop]
+        rows[...] = block
+        if stop > start and not 0.0 <= rows.min() <= rows.max() <= 1.0:
+            raise FormatError(f"game {game_id!r}: feature value outside [0, 1]")
+    return Dataset(vectors, actions, tuple(game_ids), bounds, catalog_hash, norms_hash)

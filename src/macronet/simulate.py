@@ -84,6 +84,9 @@ class FixedScript:
         return GamePlan(periods=(self.period,) * len(self.sequence))
 
 
+DEFAULT_P_FIRST = 0.7  # TwoBranchScript's chance of its first building
+
+
 class TwoBranchScript:
     """First decision picks one of two buildings with probability p / 1-p;
     every later decision is determined by which branch is visible in the
@@ -92,7 +95,7 @@ class TwoBranchScript:
     def __init__(
         self,
         catalog: BuildCatalog,
-        p_first: float = 0.7,
+        p_first: float = DEFAULT_P_FIRST,
         first: str = "gateway",
         second: str = "forge",
         n_decisions: int = 6,

@@ -26,6 +26,8 @@ from .net import (
 )
 
 DEFAULT_TOP_KS = (1, 3, 10)
+DEFAULT_SPLIT_FRACTION = 0.8
+DEFAULT_REPEATS = 5
 
 
 @dataclass(frozen=True)
@@ -54,33 +56,32 @@ class EpochStats:
     eval_errors: dict[int, float] | None = None
 
 
-def split_dataset(dataset: Dataset, fraction: float = 0.8) -> tuple[Dataset, Dataset]:
+def split_dataset(
+    dataset: Dataset, fraction: float = DEFAULT_SPLIT_FRACTION
+) -> tuple[Dataset, Dataset]:
     """Split at the whole-game boundary whose cumulative pair count is nearest
     fraction * total. Games never straddle the split; ties go to the smaller
-    training side."""
+    training side. Both sides are views of the dataset's arrays."""
     if not 0.0 < fraction < 1.0:
         raise ValueError("fraction must be strictly between 0 and 1")
-    if len(dataset.games) < 2:
+    n_games = len(dataset.game_ids)
+    if n_games < 2:
         raise ValueError("need at least two games to split")
-    total = dataset.n_pairs
-    target = fraction * total
-    cum = 0
-    best_k, best_gap = 0, float("inf")
-    for k, game in enumerate(dataset.games, start=1):
-        cum += len(game.actions)
-        gap = abs(cum - target)
-        if gap < best_gap:
-            best_k, best_gap = k, gap
-    if best_k == 0 or best_k == len(dataset.games):
+    bounds = dataset.bounds
+    # argmin takes the first of equal gaps: the smaller training side.
+    k = 1 + int(np.argmin(np.abs(bounds[1:] - fraction * dataset.n_pairs)))
+    if k == n_games:
         raise ValueError("split would leave one side empty")
-    train = replace(dataset, games=dataset.games[:best_k])
-    test = replace(dataset, games=dataset.games[best_k:])
+    cut = bounds[k]
+    train = replace(dataset, vectors=dataset.vectors[:cut], actions=dataset.actions[:cut],
+                    game_ids=dataset.game_ids[:k], bounds=bounds[: k + 1])
+    test = replace(dataset, vectors=dataset.vectors[cut:], actions=dataset.actions[cut:],
+                   game_ids=dataset.game_ids[k:], bounds=bounds[k:] - cut)
     return train, test
 
 
 def class_frequencies(dataset: Dataset) -> np.ndarray:
-    _, y = dataset.stacked()
-    return np.bincount(y, minlength=N_CLASSES)
+    return np.bincount(dataset.actions, minlength=N_CLASSES)
 
 
 def train(
@@ -226,8 +227,8 @@ def run_ablation_grid(
     dataset: Dataset,
     masks: list[FeatureGroupMask],
     base_config: TrainConfig = TrainConfig(),
-    repeats: int = 5,
-    fraction: float = 0.8,
+    repeats: int = DEFAULT_REPEATS,
+    fraction: float = DEFAULT_SPLIT_FRACTION,
     ks=DEFAULT_TOP_KS,
 ) -> AblationReport:
     """Train each masked variant `repeats` times on a fixed game-level split,

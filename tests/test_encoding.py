@@ -1,6 +1,7 @@
 import contextlib
 import io
 import logging
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -138,32 +139,6 @@ def test_encode_always_in_unit_interval(catalog, norms, own, enemy, used, mx):
     assert float(v.max()) <= 1.0
 
 
-@st.composite
-def macro_states(draw):
-    """States that push every capped feature over its cap now and then:
-    tech and upgrade caps are 1, unit caps 100, building caps 30, supply 200.
-    Completion frames may lie before the state's frame, as a service request
-    may send them."""
-    return MacroState(
-        frame=draw(st.integers(min_value=0, max_value=3000)),
-        own_count=np.array(
-            draw(st.lists(st.integers(0, 150), min_size=58, max_size=58)), dtype=np.int64
-        ),
-        enemy_count=np.array(
-            draw(st.lists(st.integers(0, 150), min_size=33, max_size=33)), dtype=np.int64
-        ),
-        production=tuple(
-            draw(
-                st.lists(
-                    st.tuples(st.integers(0, 57), st.integers(0, 6000)), max_size=40
-                )
-            )
-        ),
-        supply_used=draw(st.integers(min_value=0, max_value=500)),
-        supply_max=draw(st.integers(min_value=0, max_value=500)),
-    )
-
-
 @contextlib.contextmanager
 def clamp_messages():
     messages = []
@@ -175,28 +150,6 @@ def clamp_messages():
         yield messages
     finally:
         logger.removeHandler(handler)
-
-
-def fresh(norms):
-    """The same caps with an empty warn-once record."""
-    return encoding.NormalizationTable(norms.own_caps, norms.enemy_caps, norms.supply_cap)
-
-
-@settings(max_examples=200, deadline=None)
-@given(states=st.lists(macro_states(), min_size=1, max_size=12))
-def test_encode_sequence_matches_per_state(catalog, norms, states):
-    with clamp_messages() as per_state_log:
-        per_state_norms = fresh(norms)
-        expected = np.stack([encode(s, catalog, per_state_norms) for s in states])
-    with clamp_messages() as sequence_log:
-        got = encode(states, catalog, fresh(norms))
-    assert got.shape == (len(states), N_FEATURES)
-    assert got.tobytes() == expected.tobytes()
-    assert sequence_log == per_state_log
-
-
-def test_encode_empty_sequence(catalog, norms):
-    assert encode([], catalog, norms).shape == (0, N_FEATURES)
 
 
 # -- masks -------------------------------------------------------------------
@@ -294,6 +247,15 @@ def test_norms_unknown_name_rejected(catalog, norms):
     assert "marauder" in str(err.value)
 
 
+def test_norms_unknown_supply_name_rejected(catalog, norms):
+    buf = io.StringIO()
+    write_norms(norms, catalog, buf)
+    text = buf.getvalue() + "supply_max, 400\n"
+    with pytest.raises(SchemaError) as err:
+        load_norms(io.StringIO(text), catalog)
+    assert str(err.value) == "supply: caps for unknown names ['supply_max']"
+
+
 def test_norms_nonpositive_cap_rejected(catalog, norms):
     buf = io.StringIO()
     write_norms(norms, catalog, buf)
@@ -320,7 +282,7 @@ def test_dataset_round_trip(small_dataset):
     write_dataset(small_dataset, buf)
     buf.seek(0)
     again = read_dataset(buf)
-    assert again == small_dataset
+    assert again.games == small_dataset.games
     assert again.catalog_hash == small_dataset.catalog_hash
     assert again.norms_hash == small_dataset.norms_hash
 
@@ -357,10 +319,10 @@ def test_dataset_action_range_checked_on_read(small_dataset):
     game = small_dataset.games[0]
     bad_actions = game.actions.copy()
     bad_actions[0] = 58  # one past the last class
-    bad = Dataset(
-        games=(GameRecord(game.game_id, game.vectors, bad_actions),),
-        catalog_hash=small_dataset.catalog_hash,
-        norms_hash=small_dataset.norms_hash,
+    bad = Dataset.from_games(
+        (GameRecord(game.game_id, game.vectors, bad_actions),),
+        small_dataset.catalog_hash,
+        small_dataset.norms_hash,
     )
     buf = io.BytesIO()
     write_dataset(bad, buf)
@@ -376,7 +338,7 @@ def _dataset_file() -> bytes:
         for i in range(2)
     )
     buf = io.BytesIO()
-    write_dataset(Dataset(games, "79b5daa45c5c8e43", "e5561f0b22de8921"), buf)
+    write_dataset(Dataset.from_games(games, "79b5daa45c5c8e43", "e5561f0b22de8921"), buf)
     return buf.getvalue()
 
 
@@ -406,7 +368,7 @@ def test_dataset_values_outside_unit_interval_rejected_on_read(small_dataset, va
     vectors = game.vectors.copy()
     vectors[-1, -1] = value
     buf = io.BytesIO()
-    write_dataset(Dataset(games=(GameRecord(game.game_id, vectors, game.actions),)), buf)
+    write_dataset(Dataset.from_games((GameRecord(game.game_id, vectors, game.actions),)), buf)
     buf.seek(0)
     with pytest.raises(FormatError) as err:
         read_dataset(buf)
@@ -441,8 +403,9 @@ def test_write_dataset_streams_any_iterable_of_games(games):
     """A one-shot generator of records writes the bytes a tuple does, and
     those bytes read back as the same games."""
     as_tuple, as_generator = io.BytesIO(), io.BytesIO()
-    write_dataset(Dataset(tuple(games), "c" * 16, "n" * 16), as_tuple)
-    write_dataset(Dataset((g for g in games), "c" * 16, "n" * 16), as_generator)
+    write_dataset(Dataset.from_games(games, "c" * 16, "n" * 16), as_tuple)
+    streamed = SimpleNamespace(games=(g for g in games), catalog_hash="c" * 16, norms_hash="n" * 16)
+    write_dataset(streamed, as_generator)
     assert as_generator.getvalue() == as_tuple.getvalue()
     assert as_generator.tell() == len(as_generator.getvalue())
     again = read_dataset(io.BytesIO(as_generator.getvalue()))

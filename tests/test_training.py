@@ -1,5 +1,6 @@
 import hashlib
 import io
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -15,6 +16,8 @@ from macronet.encoding import (
     GameRecord,
     build_dataset,
     parse_mask,
+    read_dataset,
+    write_dataset,
 )
 from macronet.errors import CompatibilityError
 from macronet.net import ModelMeta, init_network, save_model
@@ -43,7 +46,7 @@ def make_dataset(pair_counts, action_of=lambda g, i: (g + i) % N_CLASSES, seed=0
         vectors = rng.random((n, N_FEATURES))
         actions = np.array([action_of(g, i) for i in range(n)], dtype=np.int64)
         games.append(GameRecord(game_id=f"game-{g}", vectors=vectors, actions=actions))
-    return Dataset(games=tuple(games), catalog_hash="cat", norms_hash="nrm")
+    return Dataset.from_games(games, "cat", "nrm")
 
 
 # -- splitting ----------------------------------------------------------------
@@ -94,6 +97,34 @@ def test_split_rejects_empty_side():
         split_dataset(make_dataset([10, 1]), fraction=0.99)
 
 
+def test_stacked_and_split_are_views_of_the_read_dataset(generator, catalog, norms):
+    """After read_dataset, stacked() and split_dataset hand out read-only
+    views of the dataset's one matrix and action vector: nothing is copied."""
+    logs = generate_synthetic_corpus(generator, 20, seed=3)
+    buf = io.BytesIO()
+    write_dataset(build_dataset(logs, catalog, norms), buf)
+    file_bytes = buf.tell()
+    buf.seek(0)
+    dataset = read_dataset(buf)
+    tracemalloc.start()
+    try:
+        X, y = dataset.stacked()
+        train_set, test_set = split_dataset(dataset)
+        sides = (*train_set.stacked(), *test_set.stacked())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.01 * file_bytes, (peak, file_bytes)
+    assert len(sides[0]) + len(sides[2]) == len(X) > 0
+    for vectors, actions in ((X, y), sides[:2], sides[2:]):
+        assert np.shares_memory(vectors, dataset.vectors)
+        assert np.shares_memory(actions, dataset.actions)
+        with pytest.raises(ValueError):
+            vectors[0, 0] = 0.5
+        with pytest.raises(ValueError):
+            actions[0] = 1
+
+
 # -- top-k ranking --------------------------------------------------------------
 
 
@@ -140,13 +171,8 @@ def test_topk_rank_matches_stable_argsort(rows):
 
 def test_evaluate_topk_applies_model_mask(small_dataset, rng):
     """A model masked to group a scores the same whatever groups b-e hold."""
-    noisy = replace(
-        small_dataset,
-        games=tuple(
-            replace(g, vectors=np.hstack([g.vectors[:, :58], rng.random((len(g.actions), 152))]))
-            for g in small_dataset.games
-        ),
-    )
+    X = small_dataset.vectors
+    noisy = replace(small_dataset, vectors=np.hstack([X[:, :58], rng.random((len(X), 152))]))
     meta = ModelMeta(small_dataset.catalog_hash, small_dataset.norms_hash, parse_mask("a"))
     masked = init_network(seed=0, meta=meta)
     base = evaluate_topk(masked, small_dataset)
@@ -168,8 +194,8 @@ def test_untrained_net_is_chance_level_on_random_labels():
     expected top-k error 1 - k/58."""
     rng = np.random.default_rng(42)
     n = 2000
-    ds = Dataset(
-        games=(
+    ds = Dataset.from_games(
+        (
             GameRecord(
                 game_id="noise",
                 vectors=rng.random((n, N_FEATURES)),
@@ -226,10 +252,8 @@ def separable_dataset(n=300, seed=4):
     actions = rng.integers(0, N_CLASSES, size=n)
     vectors = rng.random((n, N_FEATURES)) * 0.05
     vectors[np.arange(n), actions] = 1.0
-    return Dataset(
-        games=(GameRecord(game_id="sep", vectors=vectors, actions=actions),),
-        catalog_hash="cat",
-        norms_hash="nrm",
+    return Dataset.from_games(
+        (GameRecord(game_id="sep", vectors=vectors, actions=actions),), "cat", "nrm"
     )
 
 
@@ -298,7 +322,7 @@ def test_train_history_tracks_eval_set():
 
 
 def test_train_rejects_empty_dataset():
-    empty = Dataset(games=())
+    empty = Dataset.from_games(())
     with pytest.raises(ValueError):
         train(empty, FAST)
 
