@@ -7,8 +7,6 @@ fielding 1.5x the opponent's army value (once past a minimum size).
 python3 demos/07_abstract_matches.py   (a few seconds)
 """
 
-import logging
-
 from macronet import (
     DecisionPolicy,
     Mode,
@@ -29,9 +27,6 @@ from macronet import (
 
 catalog = load_default_catalog()
 norms = load_default_norms(catalog)
-
-# Long games push supply past the normalization caps; clamping is expected.
-logging.getLogger("macronet.encoding").setLevel(logging.ERROR)
 
 # Pure economy loses to economy-then-army, every time.
 result = simulate_match(

@@ -29,6 +29,10 @@ N_UPGRADES = 19
 N_OWN_BUILDS = N_UNITS_BUILDINGS + N_TECHNOLOGIES + N_UPGRADES  # 58
 N_ENEMY_TYPES = 33
 
+# The game's supply limit in the catalog's supply units, which are the
+# engine's half-units (a worker costs 2): 200 as the game displays it.
+SUPPLY_CAP = 400
+
 _SECTIONS = ("units_buildings", "technologies", "upgrades", "enemy_types")
 _GROUP_SIZES = {
     "units_buildings": N_UNITS_BUILDINGS,

@@ -112,7 +112,8 @@ def cmd_extract(args) -> int:
     """Parse, replay and encode each log in turn, writing each game's record
     as soon as it is encoded, so memory holds one game, not the corpus. The
     records go to a temporary file beside --out, which replaces --out only
-    once every log is done: a run that fails leaves --out as it was."""
+    once every log is done: a run that fails leaves --out as it was. The
+    report counts, per feature, the pairs whose value clamped to its cap."""
     catalog = _load_catalog(args.catalog)
     norms = _load_norms(args.norms, catalog)
     events_dir = Path(args.events)
@@ -127,6 +128,7 @@ def cmd_extract(args) -> int:
         raise MacronetError(f"{args.out} exists and is not a regular file")
     rejections = []
     n_games = n_pairs = 0
+    clamped = np.zeros(encoding.N_FEATURES, dtype=np.int64)
 
     def records():
         nonlocal n_games, n_pairs
@@ -138,7 +140,7 @@ def cmd_extract(args) -> int:
             except MacronetError as e:
                 rejections.append((path.name, f"{type(e).__name__}: {e}"))
                 continue
-            record = encoding.game_record(log.game_id, pairs, catalog, norms)
+            record = encoding.game_record(log.game_id, pairs, catalog, norms, clamped)
             n_games += 1
             n_pairs += len(record.actions)
             yield record
@@ -160,6 +162,8 @@ def cmd_extract(args) -> int:
         f"rejected: {len(rejections)}",
     ]
     lines += [f"  {name}: {reason}" for name, reason in rejections]
+    clamps = {str(i): int(clamped[i]) for i in np.flatnonzero(clamped)}
+    lines += [f"feature {i} clamped to its cap in {n} pairs" for i, n in clamps.items()]
     lines.append(f"dataset written to {args.out}")
     _emit(
         args,
@@ -168,6 +172,7 @@ def cmd_extract(args) -> int:
             "games": n_games,
             "pairs": n_pairs,
             "rejections": [{"file": n, "reason": r} for n, r in rejections],
+            "clamped": clamps,
             "out": str(args.out),
         },
     )

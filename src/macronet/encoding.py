@@ -11,27 +11,29 @@ index  contents                                normalization
 58-115 in-production counts, per own build     per-type cap (same table)
 116-173 production progress, per own build     already a fraction
 174-206 observed enemy material                per-type cap
-207-209 supply used / supply max / supply left shared supply cap
+207-209 supply used / supply max / supply left catalog.SUPPLY_CAP
 ====== ======================================= ==========================
 
-Counts above their cap clamp to 1.0 (logged once per feature). Caps live in
-a normalization table file so the encoding is corpus independent and other
-matchups can retune without code changes.
+Values above their cap clamp to 1.0; a caller that wants to know how often
+passes an array that ``encode`` adds each feature's clamp count to. Count
+caps live in a normalization table file so the encoding is corpus
+independent and other matchups can retune without code changes; the supply
+cap is the game's own limit, so it lives in the catalog module.
 """
 
 from __future__ import annotations
 
 import hashlib
-import logging
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .catalog import (
     N_ENEMY_TYPES,
     N_OWN_BUILDS,
+    SUPPLY_CAP,
     BuildCatalog,
     open_packaged,
     read_sections,
@@ -39,8 +41,6 @@ from .catalog import (
 )
 from .errors import FormatError, ParseError, SchemaError
 from .forward import DecisionTable, extract_pairs
-
-logger = logging.getLogger(__name__)
 
 N_FEATURES = 210
 N_CLASSES = N_OWN_BUILDS
@@ -59,35 +59,17 @@ DEFAULT_NORMS_RESOURCE = "default.norms"
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class NormalizationTable:
     """Per-feature caps. Same own-build caps apply to completed and
     in-production counts; technologies and upgrades should cap at 1."""
 
     own_caps: np.ndarray  # (58,) float64, > 0
     enemy_caps: np.ndarray  # (33,) float64, > 0
-    supply_cap: float
-    _warned: set = field(default_factory=set, repr=False, compare=False)
 
     def content_hash(self) -> str:
-        payload = (
-            self.own_caps.astype(">f8").tobytes()
-            + self.enemy_caps.astype(">f8").tobytes()
-            + struct.pack(">d", self.supply_cap)
-        )
+        payload = self.own_caps.astype(">f8").tobytes() + self.enemy_caps.astype(">f8").tobytes()
         return hashlib.sha256(payload).hexdigest()[:16]
-
-    def _warn_clamp(self, feature_index: int, value: float) -> None:
-        if feature_index not in self._warned:
-            self._warned.add(feature_index)
-            logger.warning(
-                "feature %d exceeds its normalization cap (value %s); clamping to 1.0",
-                feature_index,
-                value,
-            )
-
-
-_NORM_SECTIONS = ("units_buildings", "technologies", "upgrades", "enemy_types", "supply")
 
 
 def _cap_sections(catalog: BuildCatalog, own_caps: np.ndarray, enemy_caps: np.ndarray):
@@ -106,11 +88,14 @@ def load_norms(source, catalog: BuildCatalog) -> NormalizationTable:
 
     Format mirrors the catalog file: sections ``[units_buildings]``,
     ``[technologies]``, ``[upgrades]``, ``[enemy_types]`` with ``name, cap``
-    lines, plus ``[supply]`` with a single ``supply, <cap>`` line. Each
-    section appears at most once, and every cap is finite and positive.
+    lines. Each section appears at most once, and every cap is finite and
+    positive. Supply has no section: its cap is ``catalog.SUPPLY_CAP``.
     """
-    sections = read_sections(source, _NORM_SECTIONS)
-    entries: dict[str, dict[str, float]] = {s: {} for s in _NORM_SECTIONS}
+    own_caps = np.zeros(N_OWN_BUILDS, dtype=np.float64)
+    enemy_caps = np.zeros(N_ENEMY_TYPES, dtype=np.float64)
+    cap_sections = _cap_sections(catalog, own_caps, enemy_caps)
+    sections = read_sections(source, [section for section, _, _ in cap_sections])
+    entries: dict[str, dict[str, float]] = {section: {} for section, _, _ in cap_sections}
     for section, lines in sections.items():
         for lineno, line in lines:
             parts = [p.strip() for p in line.split(",")]
@@ -128,9 +113,7 @@ def load_norms(source, catalog: BuildCatalog) -> NormalizationTable:
                 raise ParseError(f"duplicate entry {parts[0]!r}", lineno)
             entries[section][parts[0]] = cap
 
-    own_caps = np.zeros(N_OWN_BUILDS, dtype=np.float64)
-    enemy_caps = np.zeros(N_ENEMY_TYPES, dtype=np.float64)
-    for section, specs, caps in _cap_sections(catalog, own_caps, enemy_caps):
+    for section, specs, caps in cap_sections:
         table = entries[section]
         for spec in specs:
             if spec.name not in table:
@@ -139,12 +122,7 @@ def load_norms(source, catalog: BuildCatalog) -> NormalizationTable:
         extra = set(table) - {spec.name for spec in specs}
         if extra:
             raise SchemaError(f"{section}: caps for unknown names {sorted(extra)}")
-    supply = entries["supply"]
-    if "supply" not in supply:
-        raise SchemaError("supply: missing 'supply, <cap>' entry")
-    if len(supply) > 1:
-        raise SchemaError(f"supply: caps for unknown names {sorted(set(supply) - {'supply'})}")
-    return NormalizationTable(own_caps=own_caps, enemy_caps=enemy_caps, supply_cap=supply["supply"])
+    return NormalizationTable(own_caps=own_caps, enemy_caps=enemy_caps)
 
 
 def write_norms(norms: NormalizationTable, catalog: BuildCatalog, sink) -> None:
@@ -157,7 +135,6 @@ def write_norms(norms: NormalizationTable, catalog: BuildCatalog, sink) -> None:
     for section, specs, caps in _cap_sections(catalog, norms.own_caps, norms.enemy_caps):
         lines.append(f"[{section}]\n")
         lines += (f"{spec.name}, {fmt(caps[spec.id])}\n" for spec in specs)
-    lines.append(f"[supply]\nsupply, {fmt(norms.supply_cap)}\n")
     write_text(sink, "".join(lines))
 
 
@@ -171,81 +148,48 @@ def load_default_norms(catalog: BuildCatalog) -> NormalizationTable:
 # ---------------------------------------------------------------------------
 
 
-def encode(state, catalog: BuildCatalog, norms: NormalizationTable) -> np.ndarray:
+def encode(
+    state, catalog: BuildCatalog, norms: NormalizationTable, clamped: np.ndarray | None = None
+) -> np.ndarray:
     """Vectorize one ``MacroState`` into a (210,) vector, or one game's
     ``DecisionTable``, as ``extract_pairs`` returns it, straight from its
     arrays into an (n, 210) matrix whose row i equals the encoding of state
     i bit for bit. Deterministic; output in [0, 1].
 
-    Over-cap features are logged the same way on both paths: once per
-    feature, with the value from the first state that exceeds the cap."""
+    Both paths write unclipped ratios and share one clip step. If given,
+    ``clamped``, a (210,) int64 array, gains each feature's count of rows
+    whose value was over 1.0 and clipped to it."""
     if isinstance(state, DecisionTable):
-        return _encode_rows(state, catalog, norms)
-    v = np.zeros(N_FEATURES, dtype=np.float64)
-    own = state.own_count / norms.own_caps
-    in_prod = state.in_production_count() / norms.own_caps
-    enemy = state.enemy_count / norms.enemy_caps
-    for group, block in ((OWN_SLICE, own), (IN_PRODUCTION_SLICE, in_prod), (ENEMY_SLICE, enemy)):
-        over = np.nonzero(block > 1.0)[0]
-        for i in over:
-            norms._warn_clamp(group.start + int(i), float(block[i]))
-    v[OWN_SLICE] = np.clip(own, 0.0, 1.0)
-    v[IN_PRODUCTION_SLICE] = np.clip(in_prod, 0.0, 1.0)
-    v[PROGRESS_SLICE] = state.production_progress(catalog)
-    v[ENEMY_SLICE] = np.clip(enemy, 0.0, 1.0)
-    cap = norms.supply_cap
-    for offset, raw in enumerate((state.supply_used, state.supply_max), SUPPLY_SLICE.start):
-        if raw > cap:
-            norms._warn_clamp(offset, raw)
-    v[SUPPLY_SLICE] = (
-        min(1.0, state.supply_used / cap),
-        min(1.0, state.supply_max / cap),
-        min(1.0, max(0.0, state.supply_left / cap)),
-    )
-    return v
+        v = _table_ratios(state, catalog, norms)
+    else:
+        v = np.zeros(N_FEATURES, dtype=np.float64)
+        v[OWN_SLICE] = state.own_count / norms.own_caps
+        v[IN_PRODUCTION_SLICE] = state.in_production_count() / norms.own_caps
+        v[PROGRESS_SLICE] = state.production_progress(catalog)
+        v[ENEMY_SLICE] = state.enemy_count / norms.enemy_caps
+        v[SUPPLY_SLICE] = state.supply_used, state.supply_max, state.supply_left
+        v[SUPPLY_SLICE] /= SUPPLY_CAP
+    if clamped is not None:
+        clamped += (v > 1.0).reshape(-1, N_FEATURES).sum(axis=0)
+    return np.clip(v, 0.0, 1.0, out=v)
 
 
-def _encode_rows(table, catalog: BuildCatalog, norms: NormalizationTable) -> np.ndarray:
-    """The table form of encode: the same arithmetic in the same order,
-    one array operation per feature block instead of one call per state.
+def _table_ratios(table, catalog: BuildCatalog, norms: NormalizationTable) -> np.ndarray:
+    """The table form of encode's ratios: the same arithmetic, one array
+    operation per feature block instead of one call per state.
     ``table.soonest`` is read only where ``table.in_production`` is positive."""
     n = len(table.frame)
     v = np.zeros((n, N_FEATURES), dtype=np.float64)
-    if n == 0:
-        return v
-    frame, in_prod_count = table.frame, table.in_production
-    used, supply_max = table.supply_used, table.supply_max
-    own = table.own / norms.own_caps
-    in_prod = in_prod_count / norms.own_caps
-    enemy = table.enemy / norms.enemy_caps
-    over = []
-    for group, block in ((OWN_SLICE, own), (IN_PRODUCTION_SLICE, in_prod), (ENEMY_SLICE, enemy)):
-        hit = block > 1.0
-        columns = np.flatnonzero(hit.any(axis=0))
-        for row, column in zip(hit[:, columns].argmax(axis=0), columns):
-            over.append((int(row), group.start + int(column), float(block[row, column])))
-    cap = norms.supply_cap
-    for offset, raw in enumerate((used, supply_max), SUPPLY_SLICE.start):
-        hit = raw > cap
-        if hit.any():
-            row = int(hit.argmax())
-            over.append((row, offset, int(raw[row])))
-    # The per-state path warns row by row, in feature order within a row.
-    for _, feature, value in sorted(over):
-        norms._warn_clamp(feature, value)
-
-    v[:, OWN_SLICE] = np.clip(own, 0.0, 1.0)
-    v[:, IN_PRODUCTION_SLICE] = np.clip(in_prod, 0.0, 1.0)
-    busy = np.flatnonzero(in_prod_count)
+    v[:, OWN_SLICE] = table.own / norms.own_caps
+    v[:, IN_PRODUCTION_SLICE] = table.in_production / norms.own_caps
+    busy = np.flatnonzero(table.in_production)
     busy_row, busy_id = np.divmod(busy, N_OWN_BUILDS)
     build_frames = catalog.vectors.build_frames
-    progress = 1.0 - (table.soonest.ravel()[busy] - frame[busy_row]) / build_frames[busy_id]
-    v[busy_row, PROGRESS_SLICE.start + busy_id] = np.minimum(1.0, np.maximum(0.0, progress))
-    v[:, ENEMY_SLICE] = np.clip(enemy, 0.0, 1.0)
-    supply = v[:, SUPPLY_SLICE]
-    supply[:, 0] = np.minimum(1.0, used / cap)
-    supply[:, 1] = np.minimum(1.0, supply_max / cap)
-    supply[:, 2] = np.minimum(1.0, np.maximum(0.0, (supply_max - used) / cap))
+    progress = 1.0 - (table.soonest.ravel()[busy] - table.frame[busy_row]) / build_frames[busy_id]
+    v[busy_row, PROGRESS_SLICE.start + busy_id] = progress
+    v[:, ENEMY_SLICE] = table.enemy / norms.enemy_caps
+    used, supply_max = table.supply_used, table.supply_max
+    v[:, SUPPLY_SLICE] = np.column_stack((used, supply_max, supply_max - used)) / SUPPLY_CAP
     return v
 
 
@@ -381,13 +325,17 @@ class Dataset:
 
 
 def game_record(
-    game_id: str, table: DecisionTable, catalog: BuildCatalog, norms: NormalizationTable
+    game_id: str,
+    table: DecisionTable,
+    catalog: BuildCatalog,
+    norms: NormalizationTable,
+    clamped: np.ndarray | None = None,
 ) -> GameRecord:
     """One game's record from the table extract_pairs built, encoded with
-    one encode call."""
+    one encode call, which adds its clamp counts to ``clamped`` if given."""
     return GameRecord(
         game_id=game_id,
-        vectors=encode(table, catalog, norms),
+        vectors=encode(table, catalog, norms, clamped),
         actions=table.actions,
     )
 

@@ -201,7 +201,9 @@ def backward_batch(
     grad_views = net.topology.layer_views(grads)
     for i in range(len(net.layers) - 1, -1, -1):
         dW, db = grad_views[i]
-        np.matmul(delta.T, activations[i], out=dW)
+        # Computed as (a.T @ delta).T because its bits do not depend on the
+        # BLAS thread count; those of delta.T @ a do, at the first layer.
+        dW[...] = (activations[i].T @ delta).T
         delta.sum(axis=0, out=db)
         if i > 0:
             delta = (delta @ net.layers[i][0]) * (zs[i - 1] > 0.0)
@@ -294,5 +296,7 @@ def load_model(source) -> Network:
     params = np.frombuffer(cur.take(topology.n_params * 8), dtype=">f8").astype(np.float64)
     if not cur.done():
         raise FormatError("trailing bytes after model parameters")
+    if not np.isfinite(params).all():
+        raise FormatError("non-finite model parameter")
     meta = ModelMeta(catalog_hash=catalog_hash, norms_hash=norms_hash, mask=mask)
     return Network(topology=topology, params=params, meta=meta)

@@ -234,7 +234,10 @@ class PredictionServer:
 
     def answer(self, payload: bytes, rng: np.random.Generator) -> bytes:
         """One response frame for one request frame; never raises on bad
-        input, so one malformed request cannot kill a connection."""
+        input, so one malformed request cannot kill a connection. Its
+        latency_micros runs from here to the decision: decoding included,
+        the reply's own serialization not."""
+        started = time.perf_counter_ns()
         request_id = ""
         try:
             try:
@@ -250,7 +253,6 @@ class PredictionServer:
                 raise _RequestError(
                     "bad-request", "request needs exactly one of vector or state"
                 )
-            started = time.perf_counter_ns()
             if has_vector:
                 vec = _vector_from_json(request["vector"])
             else:

@@ -21,7 +21,7 @@ from typing import Callable, Protocol
 
 import numpy as np
 
-from .catalog import BuildCatalog, BuildKind
+from .catalog import SUPPLY_CAP, BuildCatalog, BuildKind
 from .encoding import NormalizationTable
 from .errors import ConsistencyError
 from .events import EventKind, EventLog, GameEvent
@@ -312,7 +312,6 @@ GAS_WORKERS_PER_SOURCE = 3
 GAS_SOURCE = "assimilator"
 DECISIVE_RATIO = 1.5
 MIN_ARMY_VALUE = 400
-SUPPLY_CAP = 400
 
 
 class Winner(enum.Enum):

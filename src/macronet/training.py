@@ -2,7 +2,10 @@
 
 Training is bit-reproducible: the same dataset, config, and seed produce an
 identical network, because initialization, the per-epoch shuffle, and every
-floating-point operation are deterministic.
+floating-point operation are deterministic. With OpenBLAS 0.3.31 (numpy's
+scipy-openblas build) the bits are also the same at any BLAS thread count.
+BLAS does not promise that, so the tests check a pinned model at one and at
+two threads.
 """
 
 from __future__ import annotations

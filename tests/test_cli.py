@@ -17,7 +17,8 @@ from macronet import cli, encoding
 from macronet.catalog import load_default_catalog
 from macronet.cli import EXPANSION_CSV_HEADER, expansion_curve, main
 from macronet.encoding import read_dataset
-from macronet.events import parse_event_log
+from macronet.events import EventKind, parse_event_log
+from macronet.forward import replay
 from macronet.net import load_model
 from macronet.training import TrainConfig
 
@@ -566,10 +567,11 @@ def test_extract_reports_rejected_files(pipeline, tmp_path, capsys):
         assert len(read_dataset(f).games) == 3
 
 
-# A 25-game reactive corpus (seed 5), which clamps supply features, plus one
-# log that fails to parse and one that fails in replay. The digest and report
-# were recorded from the per-pair encoder; extraction must reproduce both.
-PINNED_DATASET_SHA256 = "d514c6a7ab35e6055fa37ed110f94ea6ff7343775224ff833bf5376a6ccaee62"
+# A 25-game reactive corpus (seed 5) plus one log that fails to parse and one
+# that fails in replay. Its supply peaks at 260 half-units, under the game's
+# limit of 400, so no feature clamps. The digest was recorded when supply
+# began to divide by that limit; extraction must reproduce it.
+PINNED_DATASET_SHA256 = "2e04c5a3e2ebca7c8a27e9f4e47236b29001d208248e2d4e160997ed29bbe2aa"
 PINNED_REJECTIONS = [
     {
         "file": "broken.events",
@@ -605,9 +607,38 @@ def test_extract_dataset_bytes_are_pinned(pinned_events, tmp_path, capsys):
         "games": 25,
         "pairs": 2044,
         "rejections": PINNED_REJECTIONS,
+        "clamped": {},
         "out": str(out),
     }
     assert hashlib.sha256(out.read_bytes()).hexdigest() == PINNED_DATASET_SHA256
+
+
+def test_extract_reports_clamped_pairs_per_feature(pinned_events, tmp_path, capsys):
+    """With a probe cap of 10, the report counts every pair whose state holds
+    more than 10 probes, as the step-by-step replay counts them."""
+    catalog = load_default_catalog()
+    probe = catalog.worker_id
+    buf = io.StringIO()
+    encoding.write_norms(encoding.load_default_norms(catalog), catalog, buf)
+    norms_file = tmp_path / "low.norms"
+    norms_file.write_text(buf.getvalue().replace("probe, 100", "probe, 10"))
+    expected = 0
+    for path in sorted(pinned_events.glob("synth-*.events")):
+        with open(path, "rb") as f:
+            log = parse_event_log(f, catalog)
+        expected += sum(
+            int(state.own_count[probe]) > 10
+            for state, event in replay(log, catalog)
+            if event.kind is EventKind.PRODUCED
+        )
+    assert expected > 0
+    out = tmp_path / "low.mnds"
+    argv = ["extract", "--events", str(pinned_events), "--out", str(out), "--norms"]
+    capsys.readouterr()
+    assert main(argv + [str(norms_file), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["clamped"] == {str(probe): expected}
+    assert main(argv + [str(norms_file)]) == 0
+    assert f"feature {probe} clamped to its cap in {expected} pairs" in capsys.readouterr().out
 
 
 def test_extract_replays_each_log_once(pinned_events, tmp_path, monkeypatch):
@@ -731,7 +762,7 @@ def test_failed_extract_leaves_out_as_it_was(pipeline, tmp_path, monkeypatch, ca
     original = getattr(encoding, step)
 
     def failing(*args):
-        if third in args:
+        if any(isinstance(a, str) and a == third for a in args):
             raise OSError("no space left on device")
         return original(*args)
 

@@ -1,6 +1,5 @@
 import contextlib
 import io
-import logging
 from types import SimpleNamespace
 
 import numpy as np
@@ -47,14 +46,15 @@ def test_feature_layout():
 
 def test_encode_initial_state(catalog, norms):
     """The opening position: 4 workers and the main building, supply 8/18,
-    with caps 100 for units, 30 for buildings, 200 for supply."""
+    with caps 100 for units, 30 for buildings, and the game's supply limit
+    of 400 half-units for supply."""
     v = encode(initial_state(catalog), catalog, norms)
     assert v.shape == (210,)
     assert v[catalog.worker_id] == pytest.approx(4 / 100)
     assert v[catalog.main_building_id] == pytest.approx(1 / 30)
-    assert v[207] == pytest.approx(8 / 200)
-    assert v[208] == pytest.approx(18 / 200)
-    assert v[209] == pytest.approx(10 / 200)
+    assert v[207] == pytest.approx(8 / 400)
+    assert v[208] == pytest.approx(18 / 400)
+    assert v[209] == pytest.approx(10 / 400)
     # everything else is zero at frame 0
     nonzero = np.flatnonzero(v)
     assert set(nonzero.tolist()) == {
@@ -89,9 +89,7 @@ def test_encode_enemy_features(catalog, norms):
     assert v[ENEMY_SLICE.start + marine] == pytest.approx(3 / 100)
 
 
-def test_clamp_warns_once_and_clips(catalog, caplog):
-    # fresh table: the warn-once bookkeeping lives on the instance
-    fresh = encoding.load_default_norms(catalog)
+def test_clamp_clips_and_counts(catalog, norms, caplog):
     probe = catalog.worker_id
     s = initial_state(catalog)
     own = s.own_count.copy()
@@ -104,12 +102,17 @@ def test_clamp_warns_once_and_clips(catalog, caplog):
         supply_used=s.supply_used,
         supply_max=s.supply_max,
     )
-    with caplog.at_level("WARNING"):
-        v1 = encode(state, catalog, fresh)
-        v2 = encode(state, catalog, fresh)
+    hash_before = norms.content_hash()
+    clamped = np.zeros(N_FEATURES, dtype=np.int64)
+    with caplog.at_level("DEBUG"):
+        v1 = encode(state, catalog, norms, clamped)
+        v2 = encode(state, catalog, norms, clamped)
     assert v1[probe] == 1.0 and v2[probe] == 1.0
-    clamp_messages = [r for r in caplog.records if "clamping" in r.message]
-    assert len(clamp_messages) == 1  # warned once per feature, not per call
+    assert np.flatnonzero(clamped).tolist() == [probe]
+    assert clamped[probe] == 2  # once per call: the encoder keeps no state
+    assert caplog.records == []
+    assert norms.content_hash() == hash_before
+    np.testing.assert_array_equal(encode(state, catalog, norms), v1)
 
 
 counts_strategy = st.lists(
@@ -137,19 +140,6 @@ def test_encode_always_in_unit_interval(catalog, norms, own, enemy, used, mx):
     assert v.shape == (210,)
     assert float(v.min()) >= 0.0
     assert float(v.max()) <= 1.0
-
-
-@contextlib.contextmanager
-def clamp_messages():
-    messages = []
-    handler = logging.Handler()
-    handler.emit = lambda record: messages.append(record.getMessage())
-    logger = logging.getLogger(encoding.__name__)
-    logger.addHandler(handler)
-    try:
-        yield messages
-    finally:
-        logger.removeHandler(handler)
 
 
 # -- masks -------------------------------------------------------------------
@@ -241,19 +231,22 @@ def test_norms_missing_entry_rejected(catalog, norms):
 def test_norms_unknown_name_rejected(catalog, norms):
     buf = io.StringIO()
     write_norms(norms, catalog, buf)
-    text = buf.getvalue().replace("[supply]", "marauder, 10\n[supply]")
+    text = buf.getvalue().replace("[enemy_types]", "marauder, 10\n[enemy_types]")
     with pytest.raises(SchemaError) as err:
         load_norms(io.StringIO(text), catalog)
     assert "marauder" in str(err.value)
 
 
-def test_norms_unknown_supply_name_rejected(catalog, norms):
+def test_norms_supply_section_rejected(catalog, norms):
+    """Supply divides by the game's limit, catalog.SUPPLY_CAP, so a norms
+    file has no supply cap to set."""
     buf = io.StringIO()
     write_norms(norms, catalog, buf)
-    text = buf.getvalue() + "supply_max, 400\n"
-    with pytest.raises(SchemaError) as err:
+    assert "supply" not in buf.getvalue().replace("supply_depot", "")
+    text = buf.getvalue() + "[supply]\nsupply, 200\n"
+    with pytest.raises(ParseError) as err:
         load_norms(io.StringIO(text), catalog)
-    assert str(err.value) == "supply: caps for unknown names ['supply_max']"
+    assert "unknown section [supply]" in str(err.value)
 
 
 def test_norms_nonpositive_cap_rejected(catalog, norms):
@@ -268,7 +261,7 @@ def test_norms_nonpositive_cap_rejected(catalog, norms):
 def test_norms_repeated_section_rejected(catalog, norms):
     buf = io.StringIO()
     write_norms(norms, catalog, buf)
-    text = buf.getvalue().replace("[supply]", "[upgrades]\n[supply]")
+    text = buf.getvalue().replace("[enemy_types]", "[upgrades]\n[enemy_types]")
     with pytest.raises(ParseError) as err:
         load_norms(io.StringIO(text), catalog)
     assert "duplicate section [upgrades]" in str(err.value)

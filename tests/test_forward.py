@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_encoding import clamp_messages
 
 from macronet.encoding import NormalizationTable, encode
 from macronet.errors import ConsistencyError
@@ -317,19 +316,19 @@ def test_table_equals_replay_or_raises_the_same_error(catalog, data):
     for pair, (state, action) in zip(table, expected):
         assert pair.state == state
         assert pair.action == action
-    # Caps this low clamp features in most games, so the warning order is
+    # Caps this low clamp features in most games, so the clamp counts are
     # checked too.
-    own_caps = np.full(len(catalog.builds), 2.0)
-    enemy_caps = np.full(len(catalog.enemy_types), 1.0)
-    with clamp_messages() as per_state_log:
-        norms = NormalizationTable(own_caps, enemy_caps, 20.0)
-        one_by_one = [encode(state, catalog, norms) for state, _ in expected]
-    with clamp_messages() as table_log:
-        got = encode(table, catalog, NormalizationTable(own_caps, enemy_caps, 20.0))
+    norms = NormalizationTable(
+        np.full(len(catalog.builds), 2.0), np.full(len(catalog.enemy_types), 1.0)
+    )
+    per_state_counts = np.zeros(210, dtype=np.int64)
+    one_by_one = [encode(state, catalog, norms, per_state_counts) for state, _ in expected]
+    table_counts = np.zeros(210, dtype=np.int64)
+    got = encode(table, catalog, norms, table_counts)
     assert got.shape == (len(expected), 210)
     if expected:
         assert got.tobytes() == np.stack(one_by_one).tobytes()
-    assert table_log == per_state_log
+    np.testing.assert_array_equal(table_counts, per_state_counts)
 
 
 def test_table_rows_are_read_only_views(catalog, small_logs):

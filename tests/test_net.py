@@ -334,9 +334,17 @@ def _corruption(at: int, byte: int) -> bytes:
 @example(blob=_corruption(9, 0))  # a mask without group a
 @example(blob=_corruption(12, 0xFF))  # inside the catalog hash
 @example(blob=_corruption(51, 0))  # a layer of size 0
+@example(blob=_MODEL_FILE[:-8] + b"\x7f\xf8" + _MODEL_FILE[-6:])  # a NaN parameter
 def test_corrupt_model_file_loads_or_raises_format_error(blob):
     with contextlib.suppress(FormatError):
-        load_model(io.BytesIO(blob))
+        assert np.isfinite(load_model(io.BytesIO(blob)).params).all()
+
+
+def test_load_rejects_non_finite_parameters():
+    for bad in (b"\x7f\xf8", b"\x7f\xf0", b"\xff\xf0"):  # NaN, inf, -inf
+        blob = _MODEL_FILE[:-8] + bad + bytes(6)
+        with pytest.raises(FormatError, match="non-finite"):
+            load_model(io.BytesIO(blob))
 
 
 def test_load_rejects_mask_bits_past_the_groups():

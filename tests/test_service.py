@@ -5,6 +5,7 @@ import socket
 import struct
 import threading
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -281,6 +282,23 @@ def test_arbitrary_json_never_gets_an_internal_error(unstarted_server, body, pol
     reply = unstarted_server.answer(payload, np.random.default_rng(0))
     error = json.loads(reply).get("error")
     assert error is None or error["kind"] != "internal", error
+
+
+def test_latency_covers_decoding(unstarted_server, catalog, norms, monkeypatch):
+    """latency_micros starts before the request is decoded."""
+
+    def slow_loads(text):
+        time.sleep(0.005)
+        return json.loads(text)
+
+    slow_json = SimpleNamespace(
+        loads=slow_loads, dumps=json.dumps, JSONDecodeError=json.JSONDecodeError
+    )
+    monkeypatch.setattr(service, "json", slow_json)
+    payload = json.dumps({"vector": initial_vector(catalog, norms)}).encode("utf-8")
+    reply = json.loads(unstarted_server.answer(payload, np.random.default_rng(0)))
+    assert "error" not in reply
+    assert reply["latency_micros"] >= 5000
 
 
 def test_degenerate_exclusions_reported(server, catalog, norms):

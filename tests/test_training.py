@@ -1,13 +1,17 @@
-import hashlib
 import io
+import os
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import macronet
 from macronet.encoding import (
     FULL_MASK,
     N_CLASSES,
@@ -20,7 +24,7 @@ from macronet.encoding import (
     write_dataset,
 )
 from macronet.errors import CompatibilityError
-from macronet.net import ModelMeta, init_network, save_model
+from macronet.net import ModelMeta, init_network
 from macronet.simulate import generate_synthetic_corpus
 from macronet.training import (
     AblationRow,
@@ -282,20 +286,46 @@ def test_train_is_deterministic():
     assert net_c.model_version() != net_a.model_version()
 
 
-# Recorded on the per-layer implementation before the flat parameter vector
-# replaced it; any change to the arithmetic or the file layout moves them.
-PINNED_MODEL_VERSION = "b77e9b6062ce"
-PINNED_MODEL_SHA256 = "79c5cb858ac8e27eaae4e9b1232860d655fae0bf4012e1de637b9662c5be1a84"
+# Recorded when supply began to divide by the game's limit of 400 half-units
+# and each weight gradient became (a.T @ delta).T; any change to the
+# encoding, the arithmetic or the file layout moves them.
+PINNED_MODEL_VERSION = "563355a30ba4"
+PINNED_MODEL_SHA256 = "3aa64ae53c336318dd2eccc6166d50a4421ceaac318d0fab2b9283ed87519bf7"
+PIN_SCRIPT = """
+import hashlib, io
+import macronet as mn
+from macronet.net import save_model
+from macronet.simulate import ReactiveScript
+from macronet.training import TrainConfig, train
+catalog = mn.load_default_catalog()
+logs = mn.generate_synthetic_corpus(ReactiveScript(catalog), 40, seed=5)
+ds = mn.build_dataset(logs, catalog, mn.load_default_norms(catalog))
+net, _ = train(ds, TrainConfig(epochs=3, seed=5))
+buf = io.BytesIO()
+save_model(net, buf)
+print(net.model_version(), hashlib.sha256(buf.getvalue()).hexdigest())
+"""
 
 
-def test_trained_model_bits_are_pinned(generator, catalog, norms):
-    logs = generate_synthetic_corpus(generator, 40, seed=5)
-    ds = build_dataset(logs, catalog, norms)
-    net, _ = train(ds, TrainConfig(epochs=3, seed=5))
-    buf = io.BytesIO()
-    save_model(net, buf)
-    assert net.model_version() == PINNED_MODEL_VERSION
-    assert hashlib.sha256(buf.getvalue()).hexdigest() == PINNED_MODEL_SHA256
+def test_trained_model_bits_are_pinned():
+    """The same bits at one and at two BLAS threads. BLAS does not promise
+    this, so a BLAS build that breaks it fails here."""
+    src = str(Path(macronet.__file__).resolve().parents[1])
+    runs = {}
+    for threads in ("1", "2"):
+        env = {
+            **os.environ,
+            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+            "OPENBLAS_NUM_THREADS": threads,
+            "OMP_NUM_THREADS": threads,
+        }
+        runs[threads] = subprocess.Popen(
+            [sys.executable, "-c", PIN_SCRIPT], env=env, stdout=subprocess.PIPE, text=True
+        )
+    for threads, run in runs.items():
+        out, _ = run.communicate(timeout=300)
+        assert run.returncode == 0, threads
+        assert out.split() == [PINNED_MODEL_VERSION, PINNED_MODEL_SHA256], threads
 
 
 def test_train_records_meta_and_mask():
