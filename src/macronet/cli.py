@@ -11,7 +11,8 @@
 
 Every command is deterministic given its flags and seeds. Flag values
 override --config file entries, which override built-in defaults. Exit
-codes: 0 success, 1 rejected input or runtime failure, 2 usage.
+codes: 0 success, 1 rejected input or runtime failure, 2 usage. A command
+imports only the modules it runs: extract loads no model or service code.
 """
 
 from __future__ import annotations
@@ -28,13 +29,11 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from . import encoding, net, policy, service, simulate, training
+from . import encoding
 from .catalog import BuildCatalog, load_catalog, load_default_catalog
 from .errors import MacronetError
 from .events import EVENT_FILE_SUFFIX, parse_event_log, write_event_log
 from .forward import extract_pairs
-from .net import load_model, save_model
-from .training import TrainConfig
 
 EXPANSION_CSV_HEADER = "probe_count,n_states,mean_probability"
 
@@ -58,14 +57,16 @@ def _load_dataset(path: str) -> encoding.Dataset:
         return encoding.read_dataset(f)
 
 
-def _load_model(path: str) -> net.Network:
+def _load_model(path: str):
+    from .net import load_model
     with open(path, "rb") as f:
         return load_model(f)
 
 
-def _parse_policy(args, catalog: BuildCatalog) -> policy.DecisionPolicy:
+def _parse_policy(args, catalog: BuildCatalog):
     """Policy block from flags: --mode, --blind, --exclude (comma-separated
     names, or 'default' for the standard exclusion list), --policy-seed."""
+    from . import policy
     exclusions: frozenset[int] = frozenset()
     if args.exclude:
         names = [n.strip() for n in args.exclude.split(",") if n.strip()]
@@ -180,6 +181,7 @@ def cmd_extract(args) -> int:
 
 
 def _make_generator(args, catalog: BuildCatalog):
+    from . import simulate
     if args.generator == "reactive":
         return simulate.ReactiveScript(catalog)
     if args.generator == "two-branch":
@@ -192,6 +194,7 @@ def _make_generator(args, catalog: BuildCatalog):
 
 
 def cmd_synth(args) -> int:
+    from . import simulate
     catalog = _load_catalog(args.catalog)
     generator = _make_generator(args, catalog)
     logs = simulate.generate_synthetic_corpus(generator, args.games, seed=args.seed)
@@ -210,7 +213,8 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def _train_config(args) -> TrainConfig:
+def _train_config(args):
+    from .training import TrainConfig
     return TrainConfig(
         epochs=args.epochs,
         batch_size=args.batch_size,
@@ -221,6 +225,8 @@ def _train_config(args) -> TrainConfig:
 
 
 def cmd_train(args) -> int:
+    from . import training
+    from .net import save_model
     dataset = _load_dataset(args.dataset)
     config = _train_config(args)
     if args.no_split:
@@ -257,6 +263,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    from . import training
     dataset = _load_dataset(args.dataset)
     model = _load_model(args.model)
     if args.all:
@@ -289,6 +296,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_ablate(args) -> int:
+    from . import training
     dataset = _load_dataset(args.dataset)
     masks = [encoding.parse_mask(m.strip()) for m in args.masks.split(",") if m.strip()]
     if not masks:
@@ -313,11 +321,12 @@ def cmd_ablate(args) -> int:
     return 0
 
 
-def expansion_curve(model: net.Network, dataset: encoding.Dataset, catalog, norms):
+def expansion_curve(model, dataset: encoding.Dataset, catalog, norms):
     """Mean predicted probability of the expansion build (a second main
     building) per worker count, over states owning exactly one completed
     main building and none in production. Counts are decoded back out of
     the normalized vectors."""
+    from .net import forward_batch
     worker = catalog.worker_id
     main = catalog.main_building_id
     X, _ = dataset.stacked()
@@ -330,7 +339,7 @@ def expansion_curve(model: net.Network, dataset: encoding.Dataset, catalog, norm
         return []
     X = X[keep]
     workers = np.rint(X[:, worker] * norms.own_caps[worker]).astype(int)
-    probs = net.forward_batch(model, X)[:, main]
+    probs = forward_batch(model, X)[:, main]
     rows = []
     for count in sorted(set(workers.tolist())):
         sel = workers == count
@@ -339,12 +348,13 @@ def expansion_curve(model: net.Network, dataset: encoding.Dataset, catalog, norm
 
 
 def cmd_analyze(args) -> int:
+    from .net import check_compatibility
     catalog = _load_catalog(args.catalog)
     norms = _load_norms(args.norms, catalog)
     dataset = _load_dataset(args.dataset)
     model = _load_model(args.model)
-    net.check_compatibility(model, dataset.catalog_hash, dataset.norms_hash)
-    net.check_compatibility(model, catalog.content_hash(), norms.content_hash())
+    check_compatibility(model, dataset.catalog_hash, dataset.norms_hash)
+    check_compatibility(model, catalog.content_hash(), norms.content_hash())
     rows = expansion_curve(model, dataset, catalog, norms)
     with open(args.out, "w", encoding="utf-8") as f:
         f.write(EXPANSION_CSV_HEADER + "\n")
@@ -364,16 +374,15 @@ def cmd_analyze(args) -> int:
     return 0
 
 
-_SCRIPTED = {
-    "worker-then-army": simulate.worker_then_army_player,
-    "worker-only": simulate.worker_only_player,
-    "random": simulate.random_player,
-}
-
-
 def _make_player(spec: str, args, catalog, norms):
-    if spec in _SCRIPTED:
-        return _SCRIPTED[spec](catalog)
+    from . import simulate
+    scripted = {
+        "worker-then-army": simulate.worker_then_army_player,
+        "worker-only": simulate.worker_only_player,
+        "random": simulate.random_player,
+    }
+    if spec in scripted:
+        return scripted[spec](catalog)
     model = _load_model(spec)
     return simulate.NetworkPlayer(
         name=f"model:{Path(spec).name}",
@@ -385,6 +394,7 @@ def _make_player(spec: str, args, catalog, norms):
 
 
 def cmd_simulate(args) -> int:
+    from . import simulate
     catalog = _load_catalog(args.catalog)
     norms = _load_norms(args.norms, catalog)
     player_a = _make_player(args.a, args, catalog, norms)
@@ -414,6 +424,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_serve(args) -> int:
+    from . import service
     catalog = _load_catalog(args.catalog)
     norms = _load_norms(args.norms, catalog)
     model = _load_model(args.model)
@@ -459,6 +470,7 @@ _REQUIRED: dict[str, tuple[str, ...]] = {
 
 
 def _add_policy_flags(p: argparse.ArgumentParser) -> None:
+    from . import policy
     default = policy.DecisionPolicy()
     p.add_argument("--mode", choices=[m.value for m in policy.Mode], default=default.mode.value)
     p.add_argument("--blind", action="store_true")
@@ -467,7 +479,8 @@ def _add_policy_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _add_train_flags(p: argparse.ArgumentParser) -> None:
-    config = TrainConfig()
+    from . import training
+    config = training.TrainConfig()
     p.add_argument("--epochs", type=int, default=config.epochs)
     p.add_argument("--batch-size", type=int, dest="batch_size", default=config.batch_size)
     p.add_argument(
@@ -481,86 +494,116 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
                    default=training.DEFAULT_SPLIT_FRACTION)
 
 
+class _Subcommand(argparse.ArgumentParser):
+    """A subcommand's parser that adds its own flags when it first parses,
+    so the modules owning their defaults load only for the command run."""
+
+    def __init__(self, *args, add_flags, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._add_flags = add_flags
+
+    def parse_known_args(self, args=None, namespace=None):
+        if self._add_flags is not None:
+            add, self._add_flags = self._add_flags, None
+            add(self)
+        return super().parse_known_args(args, namespace)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="macronet", description="build-order prediction toolkit"
     )
     parser.add_argument("--version", action="version", version="macronet 0.1.0")
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Subcommand)
 
     def command(name, fn, summary, files=("catalog", "norms"), json_flag=True):
-        """A subcommand with the flags it shares with others: the catalog
-        and norms files it reads, --json, and --config."""
-        p = sub.add_parser(name, help=summary)
-        for flag in files:
-            p.add_argument(f"--{flag}")
-        if json_flag:
-            p.add_argument("--json", action="store_true")
-        p.add_argument("--config")
-        p.set_defaults(fn=fn)
-        return p
+        """A subcommand with the flags it shares (the catalog and norms files
+        it reads, --json, --config); the decorated function adds the rest."""
 
-    p = command("extract", cmd_extract, "encode event logs into a dataset")
-    p.add_argument("--events")
-    p.add_argument("--out")
+        def declare(add_flags):
+            p = sub.add_parser(name, help=summary, add_flags=add_flags)
+            for flag in files:
+                p.add_argument(f"--{flag}")
+            if json_flag:
+                p.add_argument("--json", action="store_true")
+            p.add_argument("--config")
+            p.set_defaults(fn=fn)
 
-    p = command("synth", cmd_synth, "generate a synthetic corpus", files=("catalog",))
-    p.add_argument(
-        "--generator", choices=["reactive", "two-branch", "fixed"], default="reactive"
-    )
-    p.add_argument("--games", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--p-first", type=float, dest="p_first", default=simulate.DEFAULT_P_FIRST)
-    p.add_argument(
-        "--script", default="", help="comma-separated build names (fixed generator)"
-    )
-    p.add_argument("--out")
+        return declare
 
-    p = command("train", cmd_train, "train a model on a dataset", files=())
-    p.add_argument("--dataset")
-    p.add_argument("--out")
-    _add_train_flags(p)
-    p.add_argument("--no-split", action="store_true", dest="no_split",
-                   help="train on every game, no held-out report")
+    @command("extract", cmd_extract, "encode event logs into a dataset")
+    def extract_flags(p):
+        p.add_argument("--events")
+        p.add_argument("--out")
 
-    p = command("eval", cmd_eval, "top-k error of a model with baselines", files=())
-    p.add_argument("--dataset")
-    p.add_argument("--model")
-    p.add_argument("--split-fraction", type=float, dest="split_fraction",
-                   default=training.DEFAULT_SPLIT_FRACTION)
-    p.add_argument("--all", action="store_true", help="evaluate on every pair")
-    p.add_argument("--seed", type=int, default=0)
+    @command("synth", cmd_synth, "generate a synthetic corpus", files=("catalog",))
+    def synth_flags(p):
+        from .simulate import DEFAULT_P_FIRST
+        p.add_argument(
+            "--generator", choices=["reactive", "two-branch", "fixed"], default="reactive"
+        )
+        p.add_argument("--games", type=int, default=100)
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--p-first", type=float, dest="p_first", default=DEFAULT_P_FIRST)
+        p.add_argument(
+            "--script", default="", help="comma-separated build names (fixed generator)"
+        )
+        p.add_argument("--out")
 
-    p = command("ablate", cmd_ablate, "feature-group ablation grid", files=())
-    p.add_argument("--dataset")
-    p.add_argument(
-        "--masks", default="a,a+d,a+b+c+e,a+b+c+d+e", help="comma-separated mask labels"
-    )
-    p.add_argument("--repeats", type=int, default=training.DEFAULT_REPEATS)
-    _add_train_flags(p)
+    @command("train", cmd_train, "train a model on a dataset", files=())
+    def train_flags(p):
+        p.add_argument("--dataset")
+        p.add_argument("--out")
+        _add_train_flags(p)
+        p.add_argument("--no-split", action="store_true", dest="no_split",
+                       help="train on every game, no held-out report")
 
-    p = command("analyze", cmd_analyze, "expansion probability by worker count")
-    p.add_argument("--dataset")
-    p.add_argument("--model")
-    p.add_argument("--out")
+    @command("eval", cmd_eval, "top-k error of a model with baselines", files=())
+    def eval_flags(p):
+        from .training import DEFAULT_SPLIT_FRACTION
+        p.add_argument("--dataset")
+        p.add_argument("--model")
+        p.add_argument("--split-fraction", type=float, dest="split_fraction",
+                       default=DEFAULT_SPLIT_FRACTION)
+        p.add_argument("--all", action="store_true", help="evaluate on every pair")
+        p.add_argument("--seed", type=int, default=0)
 
-    p = command("simulate", cmd_simulate, "abstract matches between policies")
-    p.add_argument(
-        "--a", default="worker-then-army", help="side A: model file path or a script name"
-    )
-    p.add_argument(
-        "--b", default="worker-then-army", help="side B: model file path or a script name"
-    )
-    p.add_argument("--matches", type=int, default=20)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--frame-cap", type=int, dest="frame_cap", default=simulate.FRAME_CAP)
-    _add_policy_flags(p)
+    @command("ablate", cmd_ablate, "feature-group ablation grid", files=())
+    def ablate_flags(p):
+        from .training import DEFAULT_REPEATS
+        p.add_argument("--dataset")
+        p.add_argument(
+            "--masks", default="a,a+d,a+b+c+e,a+b+c+d+e", help="comma-separated mask labels"
+        )
+        p.add_argument("--repeats", type=int, default=DEFAULT_REPEATS)
+        _add_train_flags(p)
 
-    p = command("serve", cmd_serve, "run the prediction service", json_flag=False)
-    p.add_argument("--model")
-    p.add_argument("--bind", default="127.0.0.1:7777", help="host:port")
-    p.add_argument("--seed", type=int, default=0)
-    _add_policy_flags(p)
+    @command("analyze", cmd_analyze, "expansion probability by worker count")
+    def analyze_flags(p):
+        p.add_argument("--dataset")
+        p.add_argument("--model")
+        p.add_argument("--out")
+
+    @command("simulate", cmd_simulate, "abstract matches between policies")
+    def simulate_flags(p):
+        from .simulate import FRAME_CAP
+        p.add_argument(
+            "--a", default="worker-then-army", help="side A: model file path or a script name"
+        )
+        p.add_argument(
+            "--b", default="worker-then-army", help="side B: model file path or a script name"
+        )
+        p.add_argument("--matches", type=int, default=20)
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--frame-cap", type=int, dest="frame_cap", default=FRAME_CAP)
+        _add_policy_flags(p)
+
+    @command("serve", cmd_serve, "run the prediction service", json_flag=False)
+    def serve_flags(p):
+        p.add_argument("--model")
+        p.add_argument("--bind", default="127.0.0.1:7777", help="host:port")
+        p.add_argument("--seed", type=int, default=0)
+        _add_policy_flags(p)
 
     return parser
 

@@ -170,7 +170,9 @@ def encode(
         v[SUPPLY_SLICE] = state.supply_used, state.supply_max, state.supply_left
         v[SUPPLY_SLICE] /= SUPPLY_CAP
     if clamped is not None:
-        clamped += (v > 1.0).reshape(-1, N_FEATURES).sum(axis=0)
+        over = v > 1.0
+        if over.any():
+            clamped += over.reshape(-1, N_FEATURES).sum(axis=0)
     return np.clip(v, 0.0, 1.0, out=v)
 
 
@@ -180,14 +182,14 @@ def _table_ratios(table, catalog: BuildCatalog, norms: NormalizationTable) -> np
     ``table.soonest`` is read only where ``table.in_production`` is positive."""
     n = len(table.frame)
     v = np.zeros((n, N_FEATURES), dtype=np.float64)
-    v[:, OWN_SLICE] = table.own / norms.own_caps
-    v[:, IN_PRODUCTION_SLICE] = table.in_production / norms.own_caps
+    np.divide(table.own, norms.own_caps, out=v[:, OWN_SLICE])
+    np.divide(table.in_production, norms.own_caps, out=v[:, IN_PRODUCTION_SLICE])
     busy = np.flatnonzero(table.in_production)
     busy_row, busy_id = np.divmod(busy, N_OWN_BUILDS)
     build_frames = catalog.vectors.build_frames
     progress = 1.0 - (table.soonest.ravel()[busy] - table.frame[busy_row]) / build_frames[busy_id]
     v[busy_row, PROGRESS_SLICE.start + busy_id] = progress
-    v[:, ENEMY_SLICE] = table.enemy / norms.enemy_caps
+    np.divide(table.enemy, norms.enemy_caps, out=v[:, ENEMY_SLICE])
     used, supply_max = table.supply_used, table.supply_max
     v[:, SUPPLY_SLICE] = np.column_stack((used, supply_max, supply_max - used)) / SUPPLY_CAP
     return v

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .catalog import BuildCatalog, read_lines, write_text
 from .errors import ParseError, ValidationError
@@ -43,8 +44,9 @@ class EventKind(enum.Enum):
 _KINDS = {kind.value: kind for kind in EventKind}
 
 
-@dataclass(frozen=True)
-class GameEvent:
+class GameEvent(NamedTuple):
+    """One event: immutable and equal by value, as a tuple of its fields."""
+
     frame: int
     kind: EventKind
     type_id: int  # BuildId for produced/destroyed, EnemyTypeId for observed
@@ -69,28 +71,29 @@ def parse_event_log(source, catalog: BuildCatalog) -> EventLog:
     that decrease and for text that is not UTF-8.
     """
     build_index, enemy_index = catalog.build_index, catalog.enemy_index
-    game_id: str | None = None
+    lines = read_lines(source)
+    lineno, header = next(lines, (0, None))
+    if header is None:
+        raise ParseError("empty event file: missing 'game <id>' header")
+    if not header.startswith("game "):
+        raise ParseError("expected header 'game <id>'", lineno)
+    game_id = header[len("game ") :].strip()
+    if not game_id:
+        raise ParseError("empty game id", lineno)
+    if len(game_id.encode("utf-8")) > MAX_GAME_ID_BYTES:
+        raise ParseError(f"game id longer than {MAX_GAME_ID_BYTES} bytes of UTF-8", lineno)
+
     events: list[GameEvent] = []
-    last_frame = -1
-    for lineno, line in read_lines(source):
-        if game_id is None:
-            if not line.startswith("game "):
-                raise ParseError("expected header 'game <id>'", lineno)
-            game_id = line[len("game ") :].strip()
-            if not game_id:
-                raise ParseError("empty game id", lineno)
-            if len(game_id.encode("utf-8")) > MAX_GAME_ID_BYTES:
-                raise ParseError(
-                    f"game id longer than {MAX_GAME_ID_BYTES} bytes of UTF-8", lineno
-                )
-            continue
+    last_frame = 0
+    for lineno, line in lines:
         parts = line.split()
         if len(parts) != 3:
             raise ParseError(f"expected '<frame> <kind> <name>', got {line!r}", lineno)
         frame_text, kind_text, name = parts
-        digits = frame_text[1:] if frame_text.startswith("-") else frame_text
-        if not (digits.isascii() and digits.isdigit()):
-            raise ParseError(f"bad frame {frame_text!r}", lineno)
+        if not (frame_text.isdigit() and frame_text.isascii()):
+            digits = frame_text[1:] if frame_text.startswith("-") else frame_text
+            if not (digits.isascii() and digits.isdigit()):
+                raise ParseError(f"bad frame {frame_text!r}", lineno)
         try:
             frame = int(frame_text)
         except ValueError:  # more digits than int() converts
@@ -100,9 +103,7 @@ def parse_event_log(source, catalog: BuildCatalog) -> EventLog:
         if frame > MAX_FRAME:
             raise ParseError(f"frame {frame} is past the last frame {MAX_FRAME}", lineno)
         if frame < last_frame:
-            raise ParseError(
-                f"event at frame {frame} after frame {last_frame}", lineno
-            )
+            raise ParseError(f"event at frame {frame} after frame {last_frame}", lineno)
         last_frame = frame
         kind = _KINDS.get(kind_text)
         if kind is None:
@@ -110,9 +111,7 @@ def parse_event_log(source, catalog: BuildCatalog) -> EventLog:
         if kind is EventKind.ENEMY_OBSERVED:
             type_id = enemy_index.get(name)
             if type_id is None:
-                raise ValidationError(
-                    f"line {lineno}: {name!r} is not a known enemy type"
-                )
+                raise ValidationError(f"line {lineno}: {name!r} is not a known enemy type")
         else:
             type_id = build_index.get(name)
             if type_id is None:
@@ -120,10 +119,7 @@ def parse_event_log(source, catalog: BuildCatalog) -> EventLog:
                     f"line {lineno}: {name!r} is not an own build "
                     "(off-race production; log rejected)"
                 )
-        events.append(GameEvent(frame=frame, kind=kind, type_id=type_id))
-
-    if game_id is None:
-        raise ParseError("empty event file: missing 'game <id>' header")
+        events.append(GameEvent(frame, kind, type_id))
     return EventLog(game_id=game_id, events=tuple(events))
 
 

@@ -257,21 +257,12 @@ class DecisionTable(Sequence):
 
 # Columns of the per-event count matrix that extract_pairs builds: produced,
 # destroyed and observed events each count in their own block of columns,
-# indexed by type id, and a fourth block counts completed starts.
+# indexed by type id, and a fourth block counts completed starts. Unused
+# columns pad a row to a whole number of 64-bit words.
 _DESTROYED = N_OWN_BUILDS
 _OBSERVED = 2 * N_OWN_BUILDS
 _COMPLETED = _OBSERVED + N_ENEMY_TYPES
-_N_COLUMNS = _COMPLETED + N_OWN_BUILDS
-
-
-def _blocks(counts: np.ndarray):
-    """Started, destroyed, observed and completed counts: the column blocks."""
-    return (
-        counts[:, :_DESTROYED],
-        counts[:, _DESTROYED:_OBSERVED],
-        counts[:, _OBSERVED:_COMPLETED],
-        counts[:, _COMPLETED:],
-    )
+_N_COLUMNS = -(-(_COMPLETED + N_OWN_BUILDS) // 4) * 4
 
 
 def extract_pairs(log: EventLog, catalog: BuildCatalog) -> DecisionTable:
@@ -307,29 +298,34 @@ def extract_pairs(log: EventLog, catalog: BuildCatalog) -> DecisionTable:
     )
     # advance() refuses the first event behind its predecessor (or frame 0),
     # and nothing from there on is replayed.
-    behind = np.flatnonzero(np.diff(frame, prepend=0) < 0)
+    behind = np.flatnonzero(frame < np.concatenate(([0], frame[:-1])))
     end = int(behind[0]) if behind.size else n
     frame, column = frame[:end], column[:end]
 
     produced = np.flatnonzero(column < N_OWN_BUILDS)
     actions = column[produced]
     done = frame[produced] + vectors.build_frames[actions]
-    # int32 halves the largest transient array; no log has 2**31 events.
-    counts = np.zeros((end + 1, _N_COLUMNS), dtype=np.int32)
+    # No count exceeds `end`, so below 2**16 rows each fits a 16-bit lane, and
+    # a running sum over 64-bit words of four lanes never carries across them.
+    counts = np.zeros((end + 1, _N_COLUMNS), dtype=np.uint16 if end < 2**16 else np.uint32)
     counts[np.arange(1, end + 1), column] = 1
-    np.add.at(counts, (np.searchsorted(frame, done), _COMPLETED + actions), 1)
-    np.cumsum(counts, axis=0, out=counts)
+    completions = np.searchsorted(frame, done) * N_OWN_BUILDS + actions
+    counts[:, _COMPLETED : _COMPLETED + N_OWN_BUILDS] = np.bincount(
+        completions, minlength=(end + 1) * N_OWN_BUILDS
+    ).reshape(-1, N_OWN_BUILDS)
+    words = counts.view(np.uint64)
+    np.cumsum(words, axis=0, out=words)
 
     # Each event checked against the state before it, as apply_event checks:
     # a destroy needs a completed instance, and a one-time build may be
     # neither owned nor in production.
-    started, destroyed, _, completed = _blocks(counts)
     kind = column // N_OWN_BUILDS  # 0 produced, 1 destroyed, 2 observed
-    at, build = np.arange(end), column % N_OWN_BUILDS
-    owned = start.own_count[build] + completed[at, build] - destroyed[at, build]
-    held = owned + started[at, build] - completed[at, build]
+    build = column % N_OWN_BUILDS
+    flat, cell = counts.ravel(), np.arange(end) * _N_COLUMNS + build
+    started, destroyed, completed = (flat[cell + block] for block in (0, _DESTROYED, _COMPLETED))
+    owned = start.own_count[build] + completed - destroyed
     bad = (kind == 1) & (owned == 0)
-    bad |= (kind == 0) & vectors.one_time[build] & (held >= 1)
+    bad |= (kind == 0) & vectors.one_time[build] & (owned + started - completed >= 1)
     if bad.any():
         event = log.events[int(bad.argmax())]
         name = catalog.builds[event.type_id].name
@@ -345,22 +341,26 @@ def extract_pairs(log: EventLog, catalog: BuildCatalog) -> DecisionTable:
         before = log.events[end - 1].frame if end else start.frame
         raise ValueError(f"cannot advance backwards: {before} -> {log.events[end].frame}")
 
-    started, destroyed, observed, completed = _blocks(counts[produced])
+    rows = counts[produced]
+    started, destroyed = rows[:, :_DESTROYED], rows[:, _DESTROYED:_OBSERVED]
+    observed = rows[:, _OBSERVED:_COMPLETED]
+    completed = rows[:, _COMPLETED : _COMPLETED + N_OWN_BUILDS]
     in_production = np.subtract(started, completed, dtype=np.int64)
+    alive = np.subtract(completed, destroyed, dtype=np.int64)
     # Every start's completion frame, grouped by type in start order, then a
     # 0 that the types with nothing pending index.
-    total = counts[end, :N_OWN_BUILDS]
+    total = counts[end, :N_OWN_BUILDS].astype(np.int64)
     first = np.cumsum(total) - total
     by_type = np.zeros(len(produced) + 1, dtype=np.int64)
     by_type[first[actions] + started[np.arange(len(produced)), actions]] = done
     return DecisionTable(
         frame=frame[produced],
-        own=start.own_count + completed - destroyed,
+        own=start.own_count + alive,
         in_production=in_production,
         soonest=np.where(in_production > 0, by_type[first + completed], 0),
         enemy=observed.astype(np.int64),
-        supply_used=start.supply_used + (started - destroyed) @ vectors.supply_cost,
-        supply_max=start.supply_max + (completed - destroyed) @ vectors.supply_provided,
+        supply_used=start.supply_used + (in_production + alive) @ vectors.supply_cost,
+        supply_max=start.supply_max + alive @ vectors.supply_provided,
         actions=actions,
         done=done,
     )

@@ -51,6 +51,8 @@ _RECV_BYTES = 1 << 16
 # rather than autotuned, so a client that does not read its replies has at
 # most this much sent to it before the server stops reading its requests.
 SEND_BUFFER_BYTES = 1 << 16
+# json.dumps's spellings of the floats whose repr is not JSON.
+_NON_FINITE_JSON = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
 def write_frame(stream, payload: bytes) -> None:
@@ -223,6 +225,10 @@ class PredictionServer:
         self.policy = policy
         self.seed = seed
         self.model_version = net.model_version()
+        # The reply's fixed JSON: each build's name and key, the model version.
+        self._names_json = [json.dumps(spec.name) for spec in catalog.builds]
+        self._keys_json = [name + ": " for name in self._names_json]
+        self._version_json = json.dumps(self.model_version)
         self.socket = socket.create_server(address, backlog=MAX_CONNECTIONS)
         self.socket.setblocking(False)
         self.server_address = self.socket.getsockname()
@@ -266,15 +272,7 @@ class PredictionServer:
             except DegenerateDistributionError as e:
                 raise _RequestError("degenerate-distribution", str(e))
             latency = (time.perf_counter_ns() - started) // 1000
-            body = {
-                "request_id": request_id,
-                "build": {"name": self.catalog.build(index).name, "index": index},
-                "distribution": {
-                    spec.name: float(p) for spec, p in zip(self.catalog.builds, dist)
-                },
-                "model_version": self.model_version,
-                "latency_micros": int(latency),
-            }
+            return self._reply(request_id, index, dist, latency)
         except _RequestError as e:
             body = {"request_id": request_id, "error": {"kind": e.kind, "message": str(e)}}
         except Exception as e:  # pragma: no cover - defensive
@@ -283,6 +281,18 @@ class PredictionServer:
                 "error": {"kind": "internal", "message": f"{type(e).__name__}: {e}"},
             }
         return json.dumps(body).encode("utf-8")
+
+    def _reply(self, request_id: str, index: int, dist: np.ndarray, latency: int) -> bytes:
+        """json.dumps of a decision's reply body, joined from the text encoded
+        at start-up and each probability's repr, as json spells a float."""
+        probs = [_NON_FINITE_JSON.get(p, p) for p in map(repr, dist.tolist())]
+        distribution = ", ".join(map(str.__add__, self._keys_json, probs))
+        return (
+            f'{{"request_id": {json.dumps(request_id)}, '
+            f'"build": {{"name": {self._names_json[index]}, "index": {index}}}, '
+            f'"distribution": {{{distribution}}}, '
+            f'"model_version": {self._version_json}, "latency_micros": {latency}}}'
+        ).encode("utf-8")
 
     def _serve_forever(self) -> None:
         accepted = itertools.count()

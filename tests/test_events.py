@@ -1,5 +1,6 @@
 import io
 import string
+import sys
 
 import pytest
 from hypothesis import example, given, settings
@@ -114,6 +115,57 @@ def test_frame_past_the_last_frame_rejected(catalog, frame):
     with pytest.raises(ParseError) as err:
         parse_event_log(io.StringIO(f"game g\n{frame} produced pylon\n"), catalog)
     assert str(err.value) == f"line 2: frame {frame} is past the last frame {MAX_FRAME}"
+
+
+PYLON_AT = "game g\n{} produced pylon\n"
+
+
+@pytest.fixture
+def default_int_digits():
+    """int()'s default limit of 4,300 digits, which PYTHONINTMAXSTRDIGITS can
+    change: a longer frame is a bad frame only under a limit."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield
+    sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.parametrize(
+    "frame, expected",
+    [
+        ("-0", 0),
+        ("-00", 0),
+        (str(MAX_FRAME), MAX_FRAME),
+        ("-5", "line 2: negative frame -5"),
+        ("+5", "line 2: bad frame '+5'"),
+        ("0x10", "line 2: bad frame '0x10'"),
+        ("\uff11\uff12", "line 2: bad frame '\uff11\uff12'"),  # full-width 12
+        ("\u0663", "line 2: bad frame '\u0663'"),  # Arabic-Indic 3
+        ("1" * 5000, f"line 2: bad frame {'1' * 5000!r}"),  # past int()'s digit limit
+        ("-" + "1" * 5000, f"line 2: bad frame {'-' + '1' * 5000!r}"),
+        (str(MAX_FRAME + 1), f"line 2: frame {MAX_FRAME + 1} is past the last frame {MAX_FRAME}"),
+    ],
+)
+def test_frame_fields_parse_or_fail_as_before(catalog, frame, expected, default_int_digits):
+    """The plain-digits fast path and the signed fallback keep each frame's
+    result and message."""
+    source = io.StringIO(PYLON_AT.format(frame))
+    if isinstance(expected, int):
+        assert parse_event_log(source, catalog).events[0].frame == expected
+    else:
+        with pytest.raises(ParseError) as err:
+            parse_event_log(source, catalog)
+        assert str(err.value) == expected
+
+
+def test_game_event_is_an_immutable_value(catalog):
+    pylon = catalog.build_id("pylon")
+    by_position = GameEvent(5, EventKind.PRODUCED, pylon)
+    assert by_position == GameEvent(frame=5, kind=EventKind.PRODUCED, type_id=pylon)
+    assert hash(by_position) == hash(GameEvent(frame=5, kind=EventKind.PRODUCED, type_id=pylon))
+    with pytest.raises(AttributeError):
+        by_position.frame = 6
+    assert by_position.frame == 5
 
 
 def test_last_frame_completes_without_wrapping(catalog):

@@ -342,3 +342,23 @@ def test_table_rows_are_read_only_views(catalog, small_logs):
     assert table[3:5] == [table[3], table[4]]
     with pytest.raises(IndexError):
         table[len(table)]
+
+
+@pytest.mark.parametrize("observed", [2**16 - 2, 2**16 + 3])
+def test_counts_past_16_bits_equal_replay(catalog, observed):
+    """extract_pairs sums its counts in 16-bit lanes below 2**16 events and
+    in 32-bit lanes from there: on either side a count that fills or
+    overflows 16 bits comes out as replay has it."""
+    marine = catalog.enemy_id("marine")
+    probe, pylon = catalog.build_id("probe"), catalog.build_id("pylon")
+    events = [GameEvent(0, EventKind.ENEMY_OBSERVED, marine)] * observed + [
+        GameEvent(1, EventKind.PRODUCED, pylon),
+        GameEvent(1, EventKind.DESTROYED, probe),
+        GameEvent(2, EventKind.PRODUCED, probe),
+    ]
+    log = EventLog(game_id="long", events=tuple(events))
+    expected, error = replayed_pairs(log, catalog)
+    assert error is None
+    table = extract_pairs(log, catalog)
+    assert [(pair.state, pair.action) for pair in table] == expected
+    assert table.enemy[-1, marine] == observed

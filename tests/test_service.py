@@ -284,6 +284,29 @@ def test_arbitrary_json_never_gets_an_internal_error(unstarted_server, body, pol
     assert error is None or error["kind"] != "internal", error
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    probs=st.lists(st.floats(), min_size=58, max_size=58),
+    request_id=st.text(),
+    index=st.integers(0, 57),
+    latency=st.integers(0, 2**63),
+)
+@example(probs=[float("nan"), float("inf"), -float("inf"), -0.0] + [1e-300] * 54,
+         request_id='"\u2028\\', index=0, latency=0)
+def test_reply_bytes_equal_json_dumps(unstarted_server, catalog, probs, request_id, index, latency):
+    """The reply joined from precomputed text is, byte for byte, json.dumps
+    of the reply body as a dict, non-finite probabilities included."""
+    body = {
+        "request_id": request_id,
+        "build": {"name": catalog.build(index).name, "index": index},
+        "distribution": {spec.name: p for spec, p in zip(catalog.builds, probs)},
+        "model_version": unstarted_server.model_version,
+        "latency_micros": latency,
+    }
+    reply = unstarted_server._reply(request_id, index, np.array(probs), latency)
+    assert reply == json.dumps(body).encode("utf-8")
+
+
 def test_latency_covers_decoding(unstarted_server, catalog, norms, monkeypatch):
     """latency_micros starts before the request is decoded."""
 
