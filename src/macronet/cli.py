@@ -242,6 +242,8 @@ def cmd_train(args) -> int:
         "train_pairs": train_set.n_pairs,
         "final_train_loss": history[-1].train_loss,
         "final_train_top1_error": history[-1].train_top1_error,
+        "epoch_seconds": [h.seconds for h in history],
+        "epoch_pairs_per_s": [train_set.n_pairs / h.seconds for h in history],
         "out": str(args.out),
     }
     lines = [

@@ -24,8 +24,10 @@ cap is the game's own limit, so it lives in the catalog module.
 from __future__ import annotations
 
 import hashlib
+import io
 import math
 import struct
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -370,21 +372,40 @@ def write_str(sink, s: str) -> None:
 
 
 class Cursor:
-    """Reads a binary file's fields in order, as zero-copy slices of its
-    bytes. Running past the end or a bad string raises FormatError, which
-    names the file's kind."""
+    """Reads a binary file's fields in order from a seekable binary source,
+    which it may also skip ahead in and come back to. The file's size is
+    taken once, so running past its end raises FormatError before anything
+    is read; so does a bad string. Each error names the file's kind."""
 
-    def __init__(self, data: bytes, kind: str):
-        self.data = memoryview(data)
+    def __init__(self, source, kind: str):
+        self.source = source
         self.kind = kind
-        self.pos = 0
+        self.pos = source.tell()
+        self.end = source.seek(0, io.SEEK_END)
+        source.seek(self.pos)
 
-    def take(self, n: int) -> memoryview:
-        if self.pos + n > len(self.data):
+    def _claim(self, n: int) -> int:
+        """Where the next n bytes start; past them afterwards."""
+        if self.pos + n > self.end:
             raise FormatError(f"truncated {self.kind} file")
-        chunk = self.data[self.pos : self.pos + n]
         self.pos += n
-        return chunk
+        return self.pos - n
+
+    def take(self, n: int) -> bytes:
+        self._claim(n)
+        return self.source.read(n)
+
+    def skip(self, n: int) -> int:
+        """Skip n bytes and return where they start, for ``read_into``."""
+        at = self._claim(n)
+        self.source.seek(self.pos)
+        return at
+
+    def read_into(self, at: int, buffer: memoryview) -> None:
+        """Fill ``buffer`` from offset ``at``, which ``skip`` returned."""
+        self.source.seek(at)
+        if self.source.readinto(buffer) != len(buffer):
+            raise FormatError(f"truncated {self.kind} file")
 
     def unpack(self, fmt: str):
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
@@ -397,7 +418,7 @@ class Cursor:
             raise FormatError(f"string field of the {self.kind} file is not UTF-8") from None
 
     def done(self) -> bool:
-        return self.pos == len(self.data)
+        return self.pos == self.end
 
 
 def write_dataset(dataset, sink) -> None:
@@ -436,9 +457,15 @@ def write_dataset(dataset, sink) -> None:
 
 
 def read_dataset(source) -> Dataset:
-    """The record headers size the dataset's matrix, then each game's block
-    is converted straight into its rows and checked there: no per-game copy."""
-    cur = Cursor(source.read(), "dataset")
+    """Read a dataset file from a seekable binary source, in about one copy
+    of its bytes, and leave the source at the file's end.
+
+    A first pass reads every record's header and actions and skips its
+    vector block; the headers then size the matrix, and a second pass reads
+    each block straight into its rows, byteswaps them in place and checks
+    their range. So a file's errors are found in the order of its headers
+    and actions, then of its vector blocks."""
+    cur = Cursor(source, "dataset")
     if cur.take(4) != _DATASET_MAGIC:
         raise FormatError("not a dataset file (bad magic)")
     version, n_features, n_classes = cur.unpack(">III")
@@ -452,25 +479,29 @@ def read_dataset(source) -> Dataset:
     catalog_hash = cur.read_str()
     norms_hash = cur.read_str()
     (n_games,) = cur.unpack(">I")
-    game_ids, blocks = [], []
+    game_ids, game_actions, blocks_at = [], [], []
     for _ in range(n_games):
         game_id = cur.read_str()
         (n,) = cur.unpack(">I")
-        game_actions = np.frombuffer(cur.take(n * 2), dtype=">u2")
-        if np.any(game_actions >= N_CLASSES):
+        actions = np.frombuffer(cur.take(n * 2), dtype=">u2")
+        if np.any(actions >= N_CLASSES):
             raise FormatError(f"game {game_id!r}: action index out of range")
-        block = np.frombuffer(cur.take(n * N_FEATURES * 8), dtype=">f8").reshape(n, N_FEATURES)
         game_ids.append(game_id)
-        blocks.append((game_actions, block))
+        game_actions.append(actions)
+        blocks_at.append(cur.skip(n * N_FEATURES * 8))
     if not cur.done():
         raise FormatError("trailing bytes after last game record")
-    bounds = np.cumsum([0, *(len(a) for a, _ in blocks)], dtype=np.int64)
+    bounds = np.cumsum([0, *map(len, game_actions)], dtype=np.int64)
     vectors = np.empty((bounds[-1], N_FEATURES))
-    actions = np.empty(bounds[-1], dtype=np.int64)
-    for game_id, start, stop, (game_actions, block) in zip(game_ids, bounds, bounds[1:], blocks):
-        actions[start:stop] = game_actions
+    for game_id, start, stop, at in zip(game_ids, bounds, bounds[1:], blocks_at):
+        if start == stop:
+            continue
         rows = vectors[start:stop]
-        rows[...] = block
-        if stop > start and not 0.0 <= rows.min() <= rows.max() <= 1.0:
+        cur.read_into(at, memoryview(rows).cast("B"))
+        if sys.byteorder == "little":
+            rows.byteswap(inplace=True)
+        if not 0.0 <= rows.min() <= rows.max() <= 1.0:
             raise FormatError(f"game {game_id!r}: feature value outside [0, 1]")
+    source.seek(cur.end)
+    actions = np.concatenate([np.empty(0, np.int64), *game_actions])
     return Dataset(vectors, actions, tuple(game_ids), bounds, catalog_hash, norms_hash)

@@ -31,6 +31,10 @@ EVENT_FILE_SUFFIX = ".events"
 
 # The last frame a log may name: replay adds a build time to it in int64.
 MAX_FRAME = 2**62
+_FRAME_DIGITS = len(str(MAX_FRAME))
+# A frame of more significant digits is a bad frame, not a frame past
+# MAX_FRAME: the same bound as int()'s default digit limit, held fixed here.
+MAX_FRAME_TEXT_DIGITS = 4300
 # A game id's UTF-8 length limit: the dataset file stores it behind 2 bytes.
 MAX_GAME_ID_BYTES = 0xFFFF
 
@@ -90,16 +94,10 @@ def parse_event_log(source, catalog: BuildCatalog) -> EventLog:
         if len(parts) != 3:
             raise ParseError(f"expected '<frame> <kind> <name>', got {line!r}", lineno)
         frame_text, kind_text, name = parts
-        if not (frame_text.isdigit() and frame_text.isascii()):
-            digits = frame_text[1:] if frame_text.startswith("-") else frame_text
-            if not (digits.isascii() and digits.isdigit()):
-                raise ParseError(f"bad frame {frame_text!r}", lineno)
-        try:
+        if len(frame_text) <= _FRAME_DIGITS and frame_text.isdigit() and frame_text.isascii():
             frame = int(frame_text)
-        except ValueError:  # more digits than int() converts
-            raise ParseError(f"bad frame {frame_text!r}", lineno) from None
-        if frame < 0:
-            raise ParseError(f"negative frame {frame}", lineno)
+        else:
+            frame = _frame_value(frame_text, lineno)
         if frame > MAX_FRAME:
             raise ParseError(f"frame {frame} is past the last frame {MAX_FRAME}", lineno)
         if frame < last_frame:
@@ -123,13 +121,32 @@ def parse_event_log(source, catalog: BuildCatalog) -> EventLog:
     return EventLog(game_id=game_id, events=tuple(events))
 
 
+def _frame_value(text: str, lineno: int) -> int:
+    """A frame field that is not plain ASCII digits of at most _FRAME_DIGITS
+    characters. Leading zeros are stripped before int() runs, and int() never
+    sees more than _FRAME_DIGITS digits, so the result and the message do not
+    depend on the interpreter's digit limit. The value may still be past
+    MAX_FRAME; the caller checks that."""
+    negative = text.startswith("-")
+    digits = text[1:] if negative else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ParseError(f"bad frame {text!r}", lineno)
+    significant = digits.lstrip("0")
+    if len(significant) > MAX_FRAME_TEXT_DIGITS:
+        raise ParseError(f"bad frame {text!r}", lineno)
+    if negative and significant:
+        raise ParseError(f"negative frame -{significant}", lineno)
+    if len(significant) > _FRAME_DIGITS:
+        raise ParseError(f"frame {significant} is past the last frame {MAX_FRAME}", lineno)
+    return int(significant or "0")
+
+
 def write_event_log(log: EventLog, sink, catalog: BuildCatalog) -> None:
     """Serialize in canonical form. Bit-deterministic; round-trips."""
+    builds, enemy_types = catalog.builds, catalog.enemy_types
+    kind_text = {kind: kind.value for kind in EventKind}
     lines = [f"game {log.game_id}\n"]
-    for e in log.events:
-        if e.kind is EventKind.ENEMY_OBSERVED:
-            name = catalog.enemy_types[e.type_id].name
-        else:
-            name = catalog.builds[e.type_id].name
-        lines.append(f"{e.frame} {e.kind.value} {name}\n")
+    for frame, kind, type_id in log.events:
+        spec = enemy_types[type_id] if kind is EventKind.ENEMY_OBSERVED else builds[type_id]
+        lines.append(f"{frame} {kind_text[kind]} {spec.name}\n")
     write_text(sink, "".join(lines))

@@ -21,23 +21,28 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 import numpy as np
 
-from .catalog import N_ENEMY_TYPES, N_OWN_BUILDS, BuildCatalog
+from .catalog import N_ENEMY_TYPES, N_OWN_BUILDS, BuildCatalog, BuildKind
 from .errors import ConsistencyError
 from .events import EventKind, EventLog, GameEvent
 
 INITIAL_WORKERS = 4
 
 
-@dataclass(frozen=True)
-class MacroState:
+class MacroState(NamedTuple):
     """Snapshot of one player's macro situation at a frame.
 
     ``production`` holds one (build_id, completion_frame) entry per instance
     under construction, in start order; the public count/progress views are
     derived from it.
+
+    A state is a tuple of its six fields: it iterates, has a length of 6 and
+    ``_replace`` returns a changed copy. Two states are equal when their
+    fields are, the count arrays compared by value; a state never equals a
+    plain tuple of the same fields.
     """
 
     frame: int
@@ -49,7 +54,8 @@ class MacroState:
 
     def __eq__(self, other):
         if not isinstance(other, MacroState):
-            return NotImplemented
+            # Left to tuple.__eq__, a plain tuple would compare by field.
+            return False if isinstance(other, tuple) else NotImplemented
         return (
             self.frame == other.frame
             and self.supply_used == other.supply_used
@@ -58,6 +64,10 @@ class MacroState:
             and np.array_equal(self.own_count, other.own_count)
             and np.array_equal(self.enemy_count, other.enemy_count)
         )
+
+    def __ne__(self, other):
+        equal = self.__eq__(other)
+        return equal if equal is NotImplemented else not equal
 
     @property
     def supply_left(self) -> int:
@@ -117,85 +127,55 @@ def advance(state: MacroState, to_frame: int, catalog: BuildCatalog) -> MacroSta
     Advancing in two steps equals advancing in one; advancing by zero frames
     is the identity.
     """
-    if to_frame < state.frame:
-        raise ValueError(f"cannot advance backwards: {state.frame} -> {to_frame}")
-    if to_frame == state.frame:
+    frame, own, enemy, production, supply_used, supply_max = state
+    if to_frame < frame:
+        raise ValueError(f"cannot advance backwards: {frame} -> {to_frame}")
+    if to_frame == frame:
         return state
-    finished = [(b, d) for b, d in state.production if d <= to_frame]
-    if not finished:
-        return MacroState(
-            frame=to_frame,
-            own_count=state.own_count,
-            enemy_count=state.enemy_count,
-            production=state.production,
-            supply_used=state.supply_used,
-            supply_max=state.supply_max,
-        )
-    own = state.own_count.copy()
-    supply_max = state.supply_max
-    for build_id, _ in finished:
-        own[build_id] += 1
-        supply_max += catalog.builds[build_id].supply_provided
-    remaining = tuple((b, d) for b, d in state.production if d > to_frame)
-    return MacroState(
-        frame=to_frame,
-        own_count=own,
-        enemy_count=state.enemy_count,
-        production=remaining,
-        supply_used=state.supply_used,
-        supply_max=supply_max,
-    )
+    remaining = [entry for entry in production if entry[1] > to_frame]
+    if len(remaining) == len(production):
+        return state._replace(frame=to_frame)
+    own = own.copy()
+    for build_id, done_at in production:
+        if done_at <= to_frame:
+            own[build_id] += 1
+            supply_max += catalog.builds[build_id].supply_provided
+    return MacroState(to_frame, own, enemy, tuple(remaining), supply_used, supply_max)
 
 
 def apply_event(state: MacroState, event: GameEvent, catalog: BuildCatalog) -> MacroState:
     """Apply one event at its frame. Completions are advance()'s job: callers
     replaying a log must advance to the event frame first."""
-    if event.frame < state.frame:
-        raise ValueError(
-            f"event at frame {event.frame} behind state at frame {state.frame}"
-        )
-    own = state.own_count
-    enemy = state.enemy_count
-    production = state.production
-    supply_used = state.supply_used
-    supply_max = state.supply_max
+    frame, kind, type_id = event
+    state_frame, own, enemy, production, supply_used, supply_max = state
+    if frame < state_frame:
+        raise ValueError(f"event at frame {frame} behind state at frame {state_frame}")
 
-    if event.kind is EventKind.PRODUCED:
-        spec = catalog.builds[event.type_id]
-        if catalog.is_one_time(event.type_id):
-            already = own[event.type_id] >= 1 or any(
-                b == event.type_id for b, _ in production
-            )
-            if already:
+    if kind is EventKind.PRODUCED:
+        spec = catalog.builds[type_id]
+        if spec.kind is not BuildKind.UNIT_OR_BUILDING:  # one-time
+            if own[type_id] >= 1 or any(b == type_id for b, _ in production):
                 raise ConsistencyError(
-                    f"frame {event.frame}: {spec.name!r} is a one-time build "
+                    f"frame {frame}: {spec.name!r} is a one-time build "
                     "and is already owned or in production"
                 )
-        production = production + ((event.type_id, event.frame + spec.build_frames),)
+        production = production + ((type_id, frame + spec.build_frames),)
         supply_used += spec.supply_cost
-    elif event.kind is EventKind.DESTROYED:
-        spec = catalog.builds[event.type_id]
-        if own[event.type_id] == 0:
+    elif kind is EventKind.DESTROYED:
+        spec = catalog.builds[type_id]
+        if own[type_id] == 0:
             raise ConsistencyError(
-                f"frame {event.frame}: destroyed {spec.name!r} "
-                "but none is completed"
+                f"frame {frame}: destroyed {spec.name!r} but none is completed"
             )
         own = own.copy()
-        own[event.type_id] -= 1
+        own[type_id] -= 1
         supply_used -= spec.supply_cost
         supply_max -= spec.supply_provided
     else:  # EnemyObserved
         enemy = enemy.copy()
-        enemy[event.type_id] += 1
+        enemy[type_id] += 1
 
-    return MacroState(
-        frame=event.frame,
-        own_count=own,
-        enemy_count=enemy,
-        production=production,
-        supply_used=supply_used,
-        supply_max=supply_max,
-    )
+    return MacroState(frame, own, enemy, production, supply_used, supply_max)
 
 
 def replay(log: EventLog, catalog: BuildCatalog):

@@ -280,7 +280,7 @@ def save_model(net: Network, sink) -> None:
 
 
 def load_model(source) -> Network:
-    cur = Cursor(source.read(), "model")
+    cur = Cursor(source, "model")
     if cur.take(5) != _MODEL_MAGIC:
         raise FormatError("not a model file (bad magic)")
     version, mask_bits = cur.unpack(">IB")

@@ -96,12 +96,13 @@ def select_probabilistic(dist: np.ndarray, rng: np.random.Generator) -> int:
     dist = np.asarray(dist, dtype=np.float64)
     if (dist < 0.0).any():
         raise ValueError("distribution has negative entries")
-    total = float(dist.sum())
-    if total <= 0.0:
+    cdf = dist.cumsum()
+    # With no negative entry, the last cumulative value is zero only when
+    # every entry is, and NaN exactly when the sum is.
+    if not cdf.size or cdf[-1] <= 0.0:
         raise DegenerateDistributionError("distribution has no mass")
-    cdf = np.cumsum(dist)
     u = rng.random()
-    idx = int(np.searchsorted(cdf, u, side="right"))
+    idx = int(cdf.searchsorted(u, side="right"))
     if idx >= len(dist):
         idx = int(np.flatnonzero(dist > 0.0)[-1])
     return idx

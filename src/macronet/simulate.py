@@ -137,6 +137,33 @@ class ReactiveScript:
     FIRST_WAVE_FRAME = 2400
     WAVE_SPACING = 1800
 
+    # Each rule's action distribution, by build name.
+    RULES = {
+        "supply": {"pylon": 1.0},
+        "workers": {"probe": 0.85, "pylon": 0.15},
+        "gateway": {"gateway": 0.8, "probe": 0.2},
+        "core": {"cybernetics_core": 0.5, "zealot": 0.3, "probe": 0.2},
+        "expand": {"nexus": 0.6, "probe": 0.2, "zealot": 0.1, "dragoon": 0.1},
+        "bio": {
+            "zealot": 0.55, "dragoon": 0.15, "probe": 0.15,
+            "gateway": 0.05, "pylon": 0.05, "photon_cannon": 0.05,
+        },
+        "mech": {
+            "dragoon": 0.55, "zealot": 0.15, "probe": 0.15,
+            "gateway": 0.05, "pylon": 0.05, "observer": 0.05,
+        },
+        "default": {
+            "probe": 0.3, "zealot": 0.25, "dragoon": 0.25,
+            "pylon": 0.1, "ground_weapons": 0.05, "observer": 0.05,
+        },
+        # The upgrade is one-time: once owned or started, its mass shifts to
+        # workers.
+        "upgraded": {
+            "probe": 0.3 + 0.05, "zealot": 0.25, "dragoon": 0.25,
+            "pylon": 0.1, "observer": 0.05,
+        },
+    }
+
     def __init__(self, catalog: BuildCatalog):
         self.catalog = catalog
         b = catalog.build_id
@@ -147,60 +174,42 @@ class ReactiveScript:
         self._core = b("cybernetics_core")
         self._zealot = b("zealot")
         self._dragoon = b("dragoon")
-        self._cannon = b("photon_cannon")
-        self._observer = b("observer")
         self._weapons = b("ground_weapons")
         self._marine = catalog.enemy_id("marine")
         self._vulture = catalog.enemy_id("vulture")
+        # The only types whose pending starts the rules read.
+        self._watched = (self._pylon, self._gateway, self._core, self._nexus, self._weapons)
+        self._dists = {}
+        for rule, probabilities in self.RULES.items():
+            dist = np.zeros(len(catalog.builds))
+            for name, p in probabilities.items():
+                dist[b(name)] = p
+            dist.flags.writeable = False
+            self._dists[rule] = dist
 
     def action_distribution(self, state: MacroState) -> np.ndarray:
-        dist = np.zeros(len(self.catalog.builds))
-        inprod = state.in_production_count()
-        own = state.own_count
-
-        if state.supply_left < 8 and inprod[self._pylon] == 0:
-            dist[self._pylon] = 1.0
-        elif own[self._probe] < 12:
-            dist[self._probe] = 0.85
-            dist[self._pylon] = 0.15
-        elif own[self._gateway] + inprod[self._gateway] == 0:
-            dist[self._gateway] = 0.8
-            dist[self._probe] = 0.2
-        elif own[self._core] + inprod[self._core] == 0:
-            dist[self._core] = 0.5
-            dist[self._zealot] = 0.3
-            dist[self._probe] = 0.2
-        elif own[self._probe] >= 24 and own[self._nexus] + inprod[self._nexus] == 1:
-            dist[self._nexus] = 0.6
-            dist[self._probe] = 0.2
-            dist[self._zealot] = 0.1
-            dist[self._dragoon] = 0.1
-        elif state.enemy_count[self._marine] >= 2:
-            dist[self._zealot] = 0.55
-            dist[self._dragoon] = 0.15
-            dist[self._probe] = 0.15
-            dist[self._gateway] = 0.05
-            dist[self._pylon] = 0.05
-            dist[self._cannon] = 0.05
-        elif state.enemy_count[self._vulture] >= 2:
-            dist[self._dragoon] = 0.55
-            dist[self._zealot] = 0.15
-            dist[self._probe] = 0.15
-            dist[self._gateway] = 0.05
-            dist[self._pylon] = 0.05
-            dist[self._observer] = 0.05
+        own = state.own_count.item
+        starts = [build_id for build_id, _ in state.production]
+        pylons, gateways, cores, nexuses, weapons = map(starts.count, self._watched)
+        if state.supply_left < 8 and pylons == 0:
+            rule = "supply"
+        elif own(self._probe) < 12:
+            rule = "workers"
+        elif own(self._gateway) + gateways == 0:
+            rule = "gateway"
+        elif own(self._core) + cores == 0:
+            rule = "core"
+        elif own(self._probe) >= 24 and own(self._nexus) + nexuses == 1:
+            rule = "expand"
+        elif state.enemy_count.item(self._marine) >= 2:
+            rule = "bio"
+        elif state.enemy_count.item(self._vulture) >= 2:
+            rule = "mech"
+        elif own(self._weapons) + weapons > 0:
+            rule = "upgraded"
         else:
-            dist[self._probe] = 0.3
-            dist[self._zealot] = 0.25
-            dist[self._dragoon] = 0.25
-            dist[self._pylon] = 0.1
-            dist[self._weapons] = 0.05
-            dist[self._observer] = 0.05
-            if own[self._weapons] + inprod[self._weapons] > 0:
-                # The upgrade is one-time; its mass shifts to workers.
-                dist[self._weapons] = 0.0
-                dist[self._probe] += 0.05
-        return dist
+            rule = "default"
+        return self._dists[rule].copy()
 
     def game_plan(self, rng: np.random.Generator) -> GamePlan:
         n = int(rng.integers(70, 91))
@@ -251,13 +260,15 @@ def generate_synthetic_corpus(
         rng = np.random.default_rng(child)
         plan = generator.game_plan(rng)
         exo = _exogenous_queue(plan)
+        next_exo = 0
         state = initial_state(catalog)
         events = []
         frame = 0
         for period in plan.periods:
             frame += period
-            while exo and exo[0][0] <= frame:
-                exo_frame, kind, payload = exo.pop(0)
+            while next_exo < len(exo) and exo[next_exo][0] <= frame:
+                exo_frame, kind, payload = exo[next_exo]
+                next_exo += 1
                 state = advance(state, exo_frame, catalog)
                 if kind == 0:
                     event = GameEvent(exo_frame, EventKind.ENEMY_OBSERVED, payload[0])

@@ -10,6 +10,7 @@ two threads.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -53,10 +54,15 @@ class TrainConfig:
 
 @dataclass(frozen=True)
 class EpochStats:
+    """One epoch's results. ``seconds`` is the wall time of its pass over the
+    training set, evaluation excluded; it is left out of equality, so equal
+    runs compare equal."""
+
     epoch: int
     train_loss: float
     train_top1_error: float
     eval_errors: dict[int, float] | None = None
+    seconds: float = field(default=0.0, compare=False)
 
 
 def split_dataset(
@@ -114,6 +120,7 @@ def train(
     n = len(y)
     history: list[EpochStats] = []
     for epoch in range(1, config.epochs + 1):
+        started = time.perf_counter()
         perm = shuffle_rng.permutation(n)
         loss_sum = 0.0
         wrong = 0
@@ -123,6 +130,7 @@ def train(
             loss_sum += batch_loss * len(idx)
             wrong += int((probs.argmax(axis=1) != y[idx]).sum())
             net, adam = adam_step(net, adam, grads)
+        seconds = time.perf_counter() - started
         eval_errors = None
         if eval_set is not None:
             eval_errors = evaluate_topk(net, eval_set)
@@ -132,6 +140,7 @@ def train(
                 train_loss=loss_sum / n,
                 train_top1_error=wrong / n,
                 eval_errors=eval_errors,
+                seconds=seconds,
             )
         )
     return net, history

@@ -126,6 +126,16 @@ def test_train_json_report(pipeline, tmp_path, capsys):
     assert report["train_pairs"] + report["test_pairs"] == 240
 
 
+def test_train_json_times_each_epoch(pipeline, tmp_path, capsys):
+    argv = ["train", "--dataset", str(pipeline["dataset"]), "--epochs", "3", "--json"]
+    capsys.readouterr()
+    assert main(argv + ["--out", str(tmp_path / "m.mnnet")]) == 0
+    report = json.loads(capsys.readouterr().out)
+    for key in ("epoch_seconds", "epoch_pairs_per_s"):
+        assert len(report[key]) == 3, key
+        assert all(value > 0 for value in report[key]), key
+
+
 def test_eval_json_and_table(pipeline, capsys):
     argv = ["eval", "--dataset", str(pipeline["dataset"]), "--model", str(pipeline["model"])]
     assert main(argv + ["--json"]) == 0
@@ -260,6 +270,44 @@ def test_simulate_json(capsys):
     assert report["matches"] == 2
     assert report["wins_a"] == 2
     assert report["a"] == "worker-then-army"
+
+
+# Digests of what `synth` writes for 25 games at seed 5 (the files' bytes in
+# name order), and the `simulate --json` report below. Any change to a
+# script's draws, their order, the states they are drawn at or the event text
+# moves them.
+PINNED_CORPUS_SHA256 = {
+    "reactive": "3bfe2a04b5380b8f8cb639ffdaca73f217e0fe1833525589e9bf76fef93e0310",
+    "two-branch": "c29ca2a2c9af6e0f89843305698cd2e7a3290be9fd11f386ab95c2af4d30c6c8",
+    "fixed": "a6b26c29fc97e2e6d5c7942fc582d674b2a9edf7778bc01e3b91c1fd926a24fa",
+}
+PINNED_FIXED_SCRIPT = "probe,pylon,gateway,probe,cybernetics_core,zealot,dragoon,nexus"
+
+
+@pytest.mark.parametrize("generator", sorted(PINNED_CORPUS_SHA256))
+def test_synth_corpus_bytes_are_pinned(generator, tmp_path):
+    out = tmp_path / generator
+    argv = ["synth", "--generator", generator, "--games", "25", "--seed", "5"]
+    if generator == "fixed":
+        argv += ["--script", PINNED_FIXED_SCRIPT]
+    assert main(argv + ["--out", str(out)]) == 0
+    digest = hashlib.sha256()
+    for path in sorted(out.iterdir()):
+        digest.update(path.read_bytes())
+    assert digest.hexdigest() == PINNED_CORPUS_SHA256[generator]
+
+
+def test_simulate_json_is_pinned(capsys):
+    capsys.readouterr()
+    assert main(["simulate", "--a", "worker-then-army", "--b", "random", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "a": "worker-then-army",
+        "b": "random",
+        "draws": 0,
+        "matches": 20,
+        "wins_a": 20,
+        "wins_b": 0,
+    }
 
 
 def test_simulate_without_matches_fails(capsys):
@@ -750,6 +798,27 @@ def test_extract_memory_is_bounded_by_one_game(tmp_path, capsys):
     large = _extract_peak_bytes(everything, out)
     capsys.readouterr()
     assert large <= 1.5 * small, (small, large)
+
+
+def test_read_dataset_memory_is_about_one_file(pinned_events, tmp_path):
+    """read_dataset reads each game's vectors straight into the dataset's
+    matrix, so its peak stays near one copy of the file, and it leaves the
+    file at its end."""
+    out = tmp_path / "d.mnds"
+    assert main(["extract", "--events", str(pinned_events), "--out", str(out)]) == 0
+    size = out.stat().st_size
+    with open(out, "rb") as f:
+        read_dataset(f)  # warm caches
+        f.seek(0)
+        tracemalloc.start()
+        try:
+            dataset = read_dataset(f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert f.tell() == size
+    assert dataset.n_pairs == 2044
+    assert peak <= 1.2 * size, (peak, size)
 
 
 @pytest.mark.parametrize("step", ["game_record", "write_str"])

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from macronet.errors import ParseError, ValidationError
 from macronet.events import (
     MAX_FRAME,
+    MAX_FRAME_TEXT_DIGITS,
     MAX_GAME_ID_BYTES,
     EventKind,
     EventLog,
@@ -120,42 +121,48 @@ def test_frame_past_the_last_frame_rejected(catalog, frame):
 PYLON_AT = "game g\n{} produced pylon\n"
 
 
-@pytest.fixture
-def default_int_digits():
-    """int()'s default limit of 4,300 digits, which PYTHONINTMAXSTRDIGITS can
-    change: a longer frame is a bad frame only under a limit."""
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(4300)
-    yield
-    sys.set_int_max_str_digits(limit)
-
-
 @pytest.mark.parametrize(
     "frame, expected",
     [
         ("-0", 0),
         ("-00", 0),
+        ("0" * 5000 + "5", 5),  # zero padding is not a digit past int()'s limit
         (str(MAX_FRAME), MAX_FRAME),
         ("-5", "line 2: negative frame -5"),
         ("+5", "line 2: bad frame '+5'"),
         ("0x10", "line 2: bad frame '0x10'"),
         ("\uff11\uff12", "line 2: bad frame '\uff11\uff12'"),  # full-width 12
         ("\u0663", "line 2: bad frame '\u0663'"),  # Arabic-Indic 3
-        ("1" * 5000, f"line 2: bad frame {'1' * 5000!r}"),  # past int()'s digit limit
+        ("1" * 5000, f"line 2: bad frame {'1' * 5000!r}"),  # past MAX_FRAME_TEXT_DIGITS
         ("-" + "1" * 5000, f"line 2: bad frame {'-' + '1' * 5000!r}"),
         (str(MAX_FRAME + 1), f"line 2: frame {MAX_FRAME + 1} is past the last frame {MAX_FRAME}"),
+        # Past 19 significant digits no value is converted: the message
+        # quotes the digits, so no digit limit can change it.
+        ("-" + "0" * 30 + "7", "line 2: negative frame -7"),
+        ("-" + "1" * 20, f"line 2: negative frame -{'1' * 20}"),
+        ("0" * 9 + "1" * 20, f"line 2: frame {'1' * 20} is past the last frame {MAX_FRAME}"),
+        (
+            "1" * MAX_FRAME_TEXT_DIGITS,
+            f"line 2: frame {'1' * MAX_FRAME_TEXT_DIGITS} is past the last frame {MAX_FRAME}",
+        ),
     ],
 )
-def test_frame_fields_parse_or_fail_as_before(catalog, frame, expected, default_int_digits):
-    """The plain-digits fast path and the signed fallback keep each frame's
-    result and message."""
-    source = io.StringIO(PYLON_AT.format(frame))
-    if isinstance(expected, int):
-        assert parse_event_log(source, catalog).events[0].frame == expected
-    else:
-        with pytest.raises(ParseError) as err:
-            parse_event_log(source, catalog)
-        assert str(err.value) == expected
+def test_frame_fields_parse_or_fail_as_before(catalog, frame, expected):
+    """The plain-digits fast path and the slow path keep each frame's result
+    and message, at int()'s default digit limit and with no limit at all."""
+    limit = sys.get_int_max_str_digits()
+    try:
+        for digits in (4300, 0):
+            sys.set_int_max_str_digits(digits)
+            source = io.StringIO(PYLON_AT.format(frame))
+            if isinstance(expected, int):
+                assert parse_event_log(source, catalog).events[0].frame == expected
+            else:
+                with pytest.raises(ParseError) as err:
+                    parse_event_log(source, catalog)
+                assert str(err.value) == expected
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_game_event_is_an_immutable_value(catalog):

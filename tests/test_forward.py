@@ -7,6 +7,7 @@ from macronet.encoding import NormalizationTable, encode
 from macronet.errors import ConsistencyError
 from macronet.events import EventKind, EventLog, GameEvent
 from macronet.forward import (
+    MacroState,
     advance,
     apply_event,
     extract_pairs,
@@ -25,6 +26,22 @@ def test_initial_state(catalog):
     assert s.supply_used == 8
     assert s.supply_max == 18
     assert s.supply_left == 10
+
+
+def test_state_is_a_tuple_equal_by_value(catalog):
+    s = initial_state(catalog)
+    assert len(s) == 6 and tuple(s)[0] == 0
+    frame, own, enemy, production, supply_used, supply_max = s
+    copy = MacroState(frame, own.copy(), enemy.copy(), production, supply_used, supply_max)
+    assert copy == s and not copy != s
+    later = s._replace(frame=5)
+    assert later != s and not later == s
+    assert later.own_count is s.own_count
+    # A plain tuple of the same fields is not a state, from either side.
+    assert s != tuple(s) and tuple(s) != s
+    assert not s == tuple(s) and not tuple(s) == s
+    with pytest.raises(TypeError):
+        hash(s)
 
 
 def test_advance_zero_is_identity(catalog):

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from macronet import catalog as catalog_module
@@ -126,6 +126,49 @@ def test_select_probabilistic_validates():
         select_probabilistic(np.array([0.5, -0.1, 0.6]), rng)
     with pytest.raises(DegenerateDistributionError):
         select_probabilistic(np.zeros(3), rng)
+
+
+def _select_probabilistic_reference(dist, rng):
+    """select_probabilistic written with numpy's function wrappers and a
+    separate sum for the no-mass test: for the same draws it must give the
+    same class, and for the same inputs the same error."""
+    dist = np.asarray(dist, dtype=np.float64)
+    if (dist < 0.0).any():
+        raise ValueError("distribution has negative entries")
+    total = float(dist.sum())
+    if total <= 0.0:
+        raise DegenerateDistributionError("distribution has no mass")
+    cdf = np.cumsum(dist)
+    u = rng.random()
+    idx = int(np.searchsorted(cdf, u, side="right"))
+    if idx >= len(dist):
+        idx = int(np.flatnonzero(dist > 0.0)[-1])
+    return idx
+
+
+_ENTRIES = st.floats() | st.sampled_from([0.0, -0.0, 5e-324, 1.0, np.inf, np.nan])
+
+
+@settings(max_examples=500, deadline=None)
+@given(entries=st.lists(_ENTRIES, max_size=8), seed=st.integers(0, 2**32 - 1))
+@example(entries=[], seed=0)
+@example(entries=[0.0, -0.0, 0.0], seed=0)
+@example(entries=[np.nan, -1.0], seed=0)  # dist.min() would read NaN here
+@example(entries=[0.2, np.nan, 0.3], seed=0)
+@example(entries=[np.inf, 1.0], seed=0)
+@example(entries=[1e308, 1e308, 0.0], seed=0)
+@example(entries=[0.5, 0.5 - 2**-53, 0.0], seed=3)  # rounding remainder
+def test_select_probabilistic_matches_the_reference(entries, seed):
+    def outcome(select):
+        rng = np.random.default_rng(seed)
+        try:
+            chosen = select(np.array(entries, dtype=np.float64), rng)
+        except Exception as e:
+            chosen = (type(e), str(e))
+        return chosen, rng.random()  # and the generator left in the same state
+
+    with np.errstate(all="ignore"):
+        assert outcome(select_probabilistic) == outcome(_select_probabilistic_reference)
 
 
 def test_select_probabilistic_is_reproducible():

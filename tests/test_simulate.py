@@ -1,4 +1,6 @@
+import hashlib
 import io
+import json
 
 import numpy as np
 import pytest
@@ -227,3 +229,28 @@ def test_run_matches_tallies(catalog):
     assert series.wins_b == 3
     assert series.wins_a == series.draws == 0
     assert series.n == 3
+
+
+# Digests of ten seeded matches' winners, end frames, skip counts and army
+# curves. The skip counts follow every draw and every legality check of both
+# sides, so a change to either moves them.
+PINNED_MATCHES_SHA256 = {
+    "worker-then-army vs random": "bcf30d9626821b02b727a6fb083e659d3a9c5c25a7c9141b6cf079b8bf007381",
+    "random vs random": "1649827591ed70cc96592bfe70cfe1845f1b63d1102b4060945f839957cf5b94",
+}
+
+
+@pytest.mark.parametrize("pairing", sorted(PINNED_MATCHES_SHA256))
+def test_match_results_are_pinned(catalog, pairing):
+    players = {"worker-then-army": worker_then_army_player, "random": random_player}
+    name_a, name_b = pairing.split(" vs ")
+    results = [
+        simulate_match(players[name_a](catalog), players[name_b](catalog), catalog, seed)
+        for seed in range(10)
+    ]
+    summary = [
+        [r.winner.value, r.end_frame, r.skipped_a, r.skipped_b, r.army_curve_a, r.army_curve_b]
+        for r in results
+    ]
+    digest = hashlib.sha256(json.dumps(summary).encode()).hexdigest()
+    assert digest == PINNED_MATCHES_SHA256[pairing]
