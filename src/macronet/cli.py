@@ -65,7 +65,7 @@ def _load_model(path: str):
 
 def _parse_policy(args, catalog: BuildCatalog):
     """Policy block from flags: --mode, --blind, --exclude (comma-separated
-    names, or 'default' for the standard exclusion list), --policy-seed."""
+    names, or 'default' for the standard exclusion list)."""
     from . import policy
     exclusions: frozenset[int] = frozenset()
     if args.exclude:
@@ -81,7 +81,6 @@ def _parse_policy(args, catalog: BuildCatalog):
         mode=policy.Mode(args.mode),
         blind=args.blind,
         exclusions=exclusions,
-        seed=args.policy_seed,
     )
 
 
@@ -194,33 +193,35 @@ def _make_generator(args, catalog: BuildCatalog):
 
 
 def cmd_synth(args) -> int:
+    """Write each game as it is generated, so memory holds one game."""
     from . import simulate
     catalog = _load_catalog(args.catalog)
     generator = _make_generator(args, catalog)
-    logs = simulate.generate_synthetic_corpus(generator, args.games, seed=args.seed)
+    logs = simulate.iter_synthetic_corpus(generator, args.games, seed=args.seed)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    n_events = 0
+    n_games = n_events = 0
     for log in logs:
+        n_games += 1
         n_events += len(log.events)
         with open(out_dir / f"{log.game_id}{EVENT_FILE_SUFFIX}", "w", encoding="utf-8") as f:
             write_event_log(log, f, catalog)
     _emit(
         args,
-        f"wrote {len(logs)} games ({n_events} events) to {out_dir}",
-        {"games": len(logs), "events": n_events, "out": str(out_dir)},
+        f"wrote {n_games} games ({n_events} events) to {out_dir}",
+        {"games": n_games, "events": n_events, "out": str(out_dir)},
     )
     return 0
 
 
-def _train_config(args):
+def _train_config(args, **fields):
     from .training import TrainConfig
     return TrainConfig(
         epochs=args.epochs,
         batch_size=args.batch_size,
         learning_rate=args.learning_rate,
         seed=args.seed,
-        mask=encoding.parse_mask(args.mask),
+        **fields,
     )
 
 
@@ -228,7 +229,7 @@ def cmd_train(args) -> int:
     from . import training
     from .net import save_model
     dataset = _load_dataset(args.dataset)
-    config = _train_config(args)
+    config = _train_config(args, mask=encoding.parse_mask(args.mask))
     if args.no_split:
         train_set, test_set = dataset, None
     else:
@@ -459,50 +460,44 @@ def cmd_serve(args) -> int:
 # Argument plumbing
 # ---------------------------------------------------------------------------
 
-_REQUIRED: dict[str, tuple[str, ...]] = {
-    "extract": ("events", "out"),
-    "synth": ("out",),
-    "train": ("dataset", "out"),
-    "eval": ("dataset", "model"),
-    "ablate": ("dataset",),
-    "analyze": ("dataset", "model", "out"),
-    "simulate": (),
-    "serve": ("model",),
-}
-
-
 def _add_policy_flags(p: argparse.ArgumentParser) -> None:
     from . import policy
     default = policy.DecisionPolicy()
     p.add_argument("--mode", choices=[m.value for m in policy.Mode], default=default.mode.value)
     p.add_argument("--blind", action="store_true")
     p.add_argument("--exclude", default="", help="comma-separated build names, or 'default'")
-    p.add_argument("--policy-seed", type=int, dest="policy_seed", default=default.seed)
 
 
 def _add_train_flags(p: argparse.ArgumentParser) -> None:
-    from . import training
-    config = training.TrainConfig()
+    from .training import TrainConfig
+    config = TrainConfig()
     p.add_argument("--epochs", type=int, default=config.epochs)
     p.add_argument("--batch-size", type=int, dest="batch_size", default=config.batch_size)
     p.add_argument(
         "--learning-rate", type=float, dest="learning_rate", default=config.learning_rate
     )
     p.add_argument("--seed", type=int, default=config.seed)
-    p.add_argument(
-        "--mask", default=config.mask.label(), help="feature groups, e.g. a+b+c+d+e"
-    )
+
+
+def _add_split_flag(p: argparse.ArgumentParser) -> None:
+    from .training import DEFAULT_SPLIT_FRACTION
     p.add_argument("--split-fraction", type=float, dest="split_fraction",
-                   default=training.DEFAULT_SPLIT_FRACTION)
+                   default=DEFAULT_SPLIT_FRACTION)
 
 
 class _Subcommand(argparse.ArgumentParser):
     """A subcommand's parser that adds its own flags when it first parses,
-    so the modules owning their defaults load only for the command run."""
+    so the modules owning their defaults load only for the command run.
+    Flags declared with add_required are checked once the config file is
+    merged, so a required option may come from either."""
 
     def __init__(self, *args, add_flags, **kwargs):
         super().__init__(*args, **kwargs)
         self._add_flags = add_flags
+        self.required_flags: list[argparse.Action] = []
+
+    def add_required(self, flag: str) -> None:
+        self.required_flags.append(self.add_argument(flag))
 
     def parse_known_args(self, args=None, namespace=None):
         if self._add_flags is not None:
@@ -535,8 +530,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     @command("extract", cmd_extract, "encode event logs into a dataset")
     def extract_flags(p):
-        p.add_argument("--events")
-        p.add_argument("--out")
+        p.add_required("--events")
+        p.add_required("--out")
 
     @command("synth", cmd_synth, "generate a synthetic corpus", files=("catalog",))
     def synth_flags(p):
@@ -550,41 +545,45 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--script", default="", help="comma-separated build names (fixed generator)"
         )
-        p.add_argument("--out")
+        p.add_required("--out")
 
     @command("train", cmd_train, "train a model on a dataset", files=())
     def train_flags(p):
-        p.add_argument("--dataset")
-        p.add_argument("--out")
+        from .training import TrainConfig
+        p.add_required("--dataset")
+        p.add_required("--out")
         _add_train_flags(p)
+        p.add_argument(
+            "--mask", default=TrainConfig().mask.label(), help="feature groups, e.g. a+b+c+d+e"
+        )
+        _add_split_flag(p)
         p.add_argument("--no-split", action="store_true", dest="no_split",
                        help="train on every game, no held-out report")
 
     @command("eval", cmd_eval, "top-k error of a model with baselines", files=())
     def eval_flags(p):
-        from .training import DEFAULT_SPLIT_FRACTION
-        p.add_argument("--dataset")
-        p.add_argument("--model")
-        p.add_argument("--split-fraction", type=float, dest="split_fraction",
-                       default=DEFAULT_SPLIT_FRACTION)
+        p.add_required("--dataset")
+        p.add_required("--model")
+        _add_split_flag(p)
         p.add_argument("--all", action="store_true", help="evaluate on every pair")
         p.add_argument("--seed", type=int, default=0)
 
     @command("ablate", cmd_ablate, "feature-group ablation grid", files=())
     def ablate_flags(p):
         from .training import DEFAULT_REPEATS
-        p.add_argument("--dataset")
+        p.add_required("--dataset")
         p.add_argument(
             "--masks", default="a,a+d,a+b+c+e,a+b+c+d+e", help="comma-separated mask labels"
         )
         p.add_argument("--repeats", type=int, default=DEFAULT_REPEATS)
         _add_train_flags(p)
+        _add_split_flag(p)
 
     @command("analyze", cmd_analyze, "expansion probability by worker count")
     def analyze_flags(p):
-        p.add_argument("--dataset")
-        p.add_argument("--model")
-        p.add_argument("--out")
+        p.add_required("--dataset")
+        p.add_required("--model")
+        p.add_required("--out")
 
     @command("simulate", cmd_simulate, "abstract matches between policies")
     def simulate_flags(p):
@@ -602,7 +601,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     @command("serve", cmd_serve, "run the prediction service", json_flag=False)
     def serve_flags(p):
-        p.add_argument("--model")
+        p.add_required("--model")
         p.add_argument("--bind", default="127.0.0.1:7777", help="host:port")
         p.add_argument("--seed", type=int, default=0)
         _add_policy_flags(p)
@@ -633,15 +632,13 @@ def _parse_args(parser: argparse.ArgumentParser, argv) -> argparse.Namespace:
     become the subcommand's defaults, and a second parse lets typed flags
     beat them."""
     args = parser.parse_args(argv)
+    (commands,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    subparser = commands.choices[args.command]
     if args.config:
         with open(args.config, "r", encoding="utf-8") as f:
             loaded = json.load(f)
         if not isinstance(loaded, dict):
             raise MacronetError("config file must hold a JSON object")
-        (commands,) = (
-            a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
-        )
-        subparser = commands.choices[args.command]
         flags = {
             a.dest: a for a in subparser._actions if a.dest not in ("help", "config")
         }
@@ -652,11 +649,9 @@ def _parse_args(parser: argparse.ArgumentParser, argv) -> argparse.Namespace:
             **{k: _config_value(k, v, flags[k]) for k, v in loaded.items()}
         )
         args = parser.parse_args(argv)
-    missing = [k for k in _REQUIRED[args.command] if not getattr(args, k)]
+    missing = [a.option_strings[0] for a in subparser.required_flags if not getattr(args, a.dest)]
     if missing:
-        raise MacronetError(
-            f"missing required options: {', '.join('--' + m for m in missing)}"
-        )
+        raise MacronetError(f"missing required options: {', '.join(missing)}")
     return args
 
 

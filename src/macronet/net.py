@@ -23,7 +23,15 @@ from functools import cached_property
 
 import numpy as np
 
-from .encoding import FULL_MASK, Cursor, FeatureGroupMask, apply_mask, write_str
+from .encoding import (
+    FULL_MASK,
+    N_CLASSES,
+    N_FEATURES,
+    Cursor,
+    FeatureGroupMask,
+    apply_mask,
+    write_str,
+)
 from .errors import CompatibilityError, FormatError
 
 DEFAULT_LAYER_SIZES = (210, 128, 128, 128, 128, 58)
@@ -96,9 +104,16 @@ class Network:
 
 
 def check_compatibility(net: Network, catalog_hash: str, norms_hash: str) -> None:
-    """Raise CompatibilityError unless the model was trained on data encoded
-    with the catalog and normalization table of these content hashes (a
-    model that records no hash passes)."""
+    """Raise CompatibilityError unless the model reads the pipeline's
+    N_FEATURES inputs and writes its N_CLASSES outputs, and was trained on
+    data encoded with the catalog and normalization table of these content
+    hashes (a model that records no hash passes that part)."""
+    topology = net.topology
+    if (topology.input_size, topology.output_size) != (N_FEATURES, N_CLASSES):
+        raise CompatibilityError(
+            f"model maps {topology.input_size} inputs to {topology.output_size} "
+            f"outputs; the pipeline needs {N_FEATURES} to {N_CLASSES}"
+        )
     if net.meta.catalog_hash and net.meta.catalog_hash != catalog_hash:
         raise CompatibilityError(
             "model was trained with a different catalog "
@@ -132,16 +147,16 @@ def _softmax(z: np.ndarray) -> np.ndarray:
 
 
 def _forward_cached(net: Network, X: np.ndarray):
-    """Returns (pre-activations per layer, post-activations per layer, probs)."""
-    zs, activations = [], [X]
+    """Returns (each layer's input, probs). A hidden layer's input is the
+    previous layer's ReLU output, whose sign is the ReLU's derivative."""
+    inputs = []
     a = X
     last = len(net.layers) - 1
     for i, (W, b) in enumerate(net.layers):
+        inputs.append(a)
         z = a @ W.T + b
-        zs.append(z)
-        a = _softmax(z) if i == last else np.maximum(z, 0.0)
-        activations.append(a)
-    return zs, activations, a
+        a = _softmax(z) if i == last else np.maximum(z, 0.0, out=z)
+    return inputs, a
 
 
 def _check_input(net: Network, X: np.ndarray) -> np.ndarray:
@@ -168,7 +183,7 @@ def forward_batch(net: Network, X: np.ndarray) -> np.ndarray:
     X = _check_input(net, X)
     if X.ndim != 2:
         raise ValueError(f"forward_batch expects (n, features), got shape {X.shape}")
-    _, _, probs = _forward_cached(net, X)
+    _, probs = _forward_cached(net, X)
     return probs
 
 
@@ -190,7 +205,7 @@ def backward_batch(
     """Mean loss, batch probabilities, and the mean of the per-example
     gradients, shaped like params."""
     X = _check_input(net, X)
-    zs, activations, probs = _forward_cached(net, X)
+    inputs, probs = _forward_cached(net, X)
     n = X.shape[0]
     mean_loss = batch_loss(probs, targets)
     # Softmax + cross entropy: output pre-activation gradient is probs - onehot.
@@ -203,10 +218,10 @@ def backward_batch(
         dW, db = grad_views[i]
         # Computed as (a.T @ delta).T because its bits do not depend on the
         # BLAS thread count; those of delta.T @ a do, at the first layer.
-        dW[...] = (activations[i].T @ delta).T
+        dW[...] = (inputs[i].T @ delta).T
         delta.sum(axis=0, out=db)
         if i > 0:
-            delta = (delta @ net.layers[i][0]) * (zs[i - 1] > 0.0)
+            delta = (delta @ net.layers[i][0]) * (inputs[i] > 0.0)
     return mean_loss, probs, grads
 
 

@@ -13,7 +13,10 @@ Response fields:
     request_id, build {name, index}, distribution {name: probability},
     model_version, latency_micros
 Errors come back as {request_id, error: {kind, message}} and leave the
-connection usable.
+connection usable. A reply that would exceed MAX_MESSAGE_BYTES (a long
+request_id is echoed back, and json spells each non-ASCII character as an
+escape of up to 12 bytes) is replaced by a bad-request error whose
+request_id is empty.
 
 One selectors loop on one thread serves every connection, up to
 MAX_CONNECTIONS, and does not read a connection while a reply to it waits to
@@ -206,6 +209,11 @@ def _vector_from_json(obj) -> np.ndarray:
     return vec
 
 
+def _error_reply(request_id: str, kind: str, message: str) -> bytes:
+    body = {"request_id": request_id, "error": {"kind": kind, "message": message}}
+    return json.dumps(body).encode("utf-8")
+
+
 class PredictionServer:
     """Serves one immutable model over the framed protocol."""
 
@@ -239,10 +247,10 @@ class PredictionServer:
         self._thread: threading.Thread | None = None
 
     def answer(self, payload: bytes, rng: np.random.Generator) -> bytes:
-        """One response frame for one request frame; never raises on bad
-        input, so one malformed request cannot kill a connection. Its
-        latency_micros runs from here to the decision: decoding included,
-        the reply's own serialization not."""
+        """One response frame for one request frame, within the frame limit;
+        never raises on bad input, so one malformed request cannot kill a
+        connection. Its latency_micros runs from here to the decision:
+        decoding included, the reply's own serialization not."""
         started = time.perf_counter_ns()
         request_id = ""
         try:
@@ -272,15 +280,16 @@ class PredictionServer:
             except DegenerateDistributionError as e:
                 raise _RequestError("degenerate-distribution", str(e))
             latency = (time.perf_counter_ns() - started) // 1000
-            return self._reply(request_id, index, dist, latency)
+            reply = self._reply(request_id, index, dist, latency)
         except _RequestError as e:
-            body = {"request_id": request_id, "error": {"kind": e.kind, "message": str(e)}}
+            reply = _error_reply(request_id, e.kind, str(e))
         except Exception as e:  # pragma: no cover - defensive
-            body = {
-                "request_id": request_id,
-                "error": {"kind": "internal", "message": f"{type(e).__name__}: {e}"},
-            }
-        return json.dumps(body).encode("utf-8")
+            reply = _error_reply(request_id, "internal", f"{type(e).__name__}: {e}")
+        if len(reply) > MAX_MESSAGE_BYTES:
+            reply = _error_reply(
+                "", "bad-request", f"reply of {len(reply)} bytes exceeds the frame limit"
+            )
+        return reply
 
     def _reply(self, request_id: str, index: int, dist: np.ndarray, latency: int) -> bytes:
         """json.dumps of a decision's reply body, joined from the text encoded

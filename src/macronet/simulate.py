@@ -23,7 +23,6 @@ import numpy as np
 
 from .catalog import SUPPLY_CAP, BuildCatalog, BuildKind
 from .encoding import NormalizationTable
-from .errors import ConsistencyError
 from .events import EventKind, EventLog, GameEvent
 from .forward import INITIAL_WORKERS, MacroState, advance, apply_event, initial_state, replay
 from .net import Network
@@ -252,10 +251,19 @@ def generate_synthetic_corpus(
     Each recorded Produced action is drawn from the generator's distribution
     at exactly the state a later replay of the log reconstructs, so the
     corpus's conditional action law is the generator's by construction."""
+    return list(iter_synthetic_corpus(generator, n_games, seed))
+
+
+def iter_synthetic_corpus(generator: StochasticScript, n_games: int, seed: int = 0):
+    """generate_synthetic_corpus's logs one at a time, each made when it is
+    asked for, so a caller that writes each in turn holds one game."""
     if n_games < 1:
         raise ValueError("n_games must be at least 1")
+    return _synthetic_games(generator, n_games, seed)
+
+
+def _synthetic_games(generator: StochasticScript, n_games: int, seed: int):
     catalog = generator.catalog
-    logs = []
     for i, child in enumerate(np.random.SeedSequence(seed).spawn(n_games)):
         rng = np.random.default_rng(child)
         plan = generator.game_plan(rng)
@@ -287,8 +295,7 @@ def generate_synthetic_corpus(
             event = GameEvent(frame, EventKind.PRODUCED, action)
             state = apply_event(state, event, catalog)
             events.append(event)
-        logs.append(EventLog(game_id=f"synth-{seed}-{i:05d}", events=tuple(events)))
-    return logs
+        yield EventLog(game_id=f"synth-{seed}-{i:05d}", events=tuple(events))
 
 
 def bayes_top1_error(logs, generator: StochasticScript) -> float:
@@ -497,10 +504,7 @@ class _Side:
         self.minerals -= spec.mineral_cost
         self.gas -= spec.gas_cost
         event = GameEvent(state.frame, EventKind.PRODUCED, build_id)
-        try:
-            self.state = apply_event(state, event, cat)
-        except ConsistencyError:
-            self.skipped += 1
+        self.state = apply_event(state, event, cat)
 
 
 def simulate_match(

@@ -70,10 +70,13 @@ def _clear_of_relu_kinks(net, x, margin: float = 1e-4) -> bool:
     """Finite differences are only a valid oracle away from the ReLU kinks:
     a parameter nudge of h can flip any unit whose pre-activation is within
     about h of zero, where the loss is not differentiable."""
-    from macronet.net import _forward_cached
-
-    zs, _, _ = _forward_cached(net, x)
-    return all(float(np.abs(z).min()) > margin for z in zs[:-1])
+    a = x
+    for W, b in net.layers[:-1]:
+        z = a @ W.T + b
+        if float(np.abs(z).min()) <= margin:
+            return False
+        a = np.maximum(z, 0.0)
+    return True
 
 
 def test_acceptance_2_gradient_check(capfd):

@@ -19,7 +19,7 @@ from macronet.cli import EXPANSION_CSV_HEADER, expansion_curve, main
 from macronet.encoding import read_dataset
 from macronet.events import EventKind, parse_event_log
 from macronet.forward import replay
-from macronet.net import load_model
+from macronet.net import ModelMeta, NetworkTopology, init_network, load_model, save_model
 from macronet.training import TrainConfig
 
 
@@ -238,6 +238,25 @@ def test_model_refuses_a_dataset_from_other_norms(
     assert f"!= {'f' * 16}" in err
 
 
+@pytest.mark.parametrize("command", ["eval", "analyze"])
+def test_model_of_the_wrong_shape_is_refused(pipeline, tmp_path, capsys, command):
+    """A 210-8-10 model that records the dataset's hashes fails with an
+    error line, not an IndexError traceback."""
+    with open(pipeline["dataset"], "rb") as f:
+        dataset = read_dataset(f)
+    meta = ModelMeta(catalog_hash=dataset.catalog_hash, norms_hash=dataset.norms_hash)
+    model = tmp_path / "narrow.mnnet"
+    with open(model, "wb") as f:
+        save_model(init_network(NetworkTopology(layer_sizes=(210, 8, 10)), meta=meta), f)
+    argv = [command, "--dataset", str(pipeline["dataset"]), "--model", str(model)]
+    if command == "analyze":
+        argv += ["--out", str(tmp_path / "curve.csv")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: model maps 210 inputs to 10 outputs")
+    assert len(err.splitlines()) == 1
+
+
 def test_analyze_refuses_norms_other_than_the_models(pipeline, tmp_path, capsys):
     catalog = load_default_catalog()
     norms = encoding.load_default_norms(catalog)
@@ -417,6 +436,36 @@ _OTHER_COMMAND_ARGV = {
 }
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--policy-seed", "1"],
+        ["serve", "--model", "m.mnnet", "--policy-seed", "1"],
+    ],
+)
+def test_removed_options_are_usage_errors(argv, capsys):
+    """--policy-seed never changed a decision: each side and each connection
+    passes its own rng. (ablate's --mask, which each row overrode, is gone
+    too, but argparse now reads it as an abbreviation of --masks.)"""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, key",
+    [
+        (["simulate"], "policy_seed"),
+        (["serve", "--model", "m.mnnet"], "policy_seed"),
+        (["ablate", "--dataset", "d.mnds"], "mask"),
+    ],
+)
+def test_removed_config_keys_are_unknown(tmp_path, capsys, argv, key):
+    assert _main_with_config(tmp_path, argv, {key: 1}) == 1
+    assert f"unknown config keys: [{key!r}]" in capsys.readouterr().err
+
+
 def test_config_values_convert_like_flags(pipeline, tmp_path, capsys):
     code = _train_with_config(
         pipeline, tmp_path, {"epochs": "2", "learning_rate": 1, "seed": "4"}
@@ -465,19 +514,16 @@ REQUIRED_ARGV = {
     "serve": ["--model", "m.mnnet"],
 }
 _TRAIN_VALUES = {
-    "epochs": 3, "batch_size": 17, "learning_rate": 0.01, "seed": 5, "mask": "a+b",
-    "split_fraction": 0.5,
+    "epochs": 3, "batch_size": 17, "learning_rate": 0.01, "seed": 5, "split_fraction": 0.5,
 }
-_POLICY_CONFIG = {
-    "mode": "probabilistic", "blind": True, "exclude": "default", "policy_seed": 6,
-}
+_POLICY_CONFIG = {"mode": "probabilistic", "blind": True, "exclude": "default"}
 FULL_CONFIG = {
     "extract": {"catalog": "c.txt", "norms": "n.txt", "json": True},
     "synth": {
         "catalog": "c.txt", "generator": "fixed", "games": 7, "seed": 3, "p_first": 0.25,
         "script": "probe,pylon", "json": True,
     },
-    "train": {**_TRAIN_VALUES, "no_split": True, "json": True},
+    "train": {**_TRAIN_VALUES, "mask": "a+b", "no_split": True, "json": True},
     "eval": {"split_fraction": 0.6, "all": True, "seed": 2, "json": True},
     "ablate": {"masks": "a,a+b", "repeats": 2, **_TRAIN_VALUES, "json": True},
     "analyze": {"catalog": "c.txt", "norms": "n.txt", "json": True},
@@ -525,12 +571,12 @@ PINNED_RESOLVED = {
     },
     ("ablate", False): {
         "batch_size": 100, "dataset": "d.mnds", "epochs": 50, "json": False,
-        "learning_rate": 0.0001, "mask": "a+b+c+d+e", "masks": "a,a+d,a+b+c+e,a+b+c+d+e",
-        "repeats": 5, "seed": 0, "split_fraction": 0.8,
+        "learning_rate": 0.0001, "masks": "a,a+d,a+b+c+e,a+b+c+d+e", "repeats": 5,
+        "seed": 0, "split_fraction": 0.8,
     },
     ("ablate", True): {
         "batch_size": 17, "dataset": "d.mnds", "epochs": 3, "json": True,
-        "learning_rate": 0.01, "mask": "a+b", "masks": "a,a+b", "repeats": 2, "seed": 5,
+        "learning_rate": 0.01, "masks": "a,a+b", "repeats": 2, "seed": 5,
         "split_fraction": 0.5,
     },
     ("analyze", False): {
@@ -544,21 +590,20 @@ PINNED_RESOLVED = {
     ("simulate", False): {
         "a": "worker-then-army", "b": "worker-then-army", "blind": False, "catalog": None,
         "exclude": "", "frame_cap": 28800, "json": False, "matches": 20, "mode": "greedy",
-        "norms": None, "policy_seed": 0, "seed": 0,
+        "norms": None, "seed": 0,
     },
     ("simulate", True): {
         "a": "worker-only", "b": "random", "blind": True, "catalog": "c.txt",
         "exclude": "default", "frame_cap": 1000, "json": True, "matches": 3,
-        "mode": "probabilistic", "norms": "n.txt", "policy_seed": 6, "seed": 4,
+        "mode": "probabilistic", "norms": "n.txt", "seed": 4,
     },
     ("serve", False): {
         "bind": "127.0.0.1:7777", "blind": False, "catalog": None, "exclude": "",
-        "mode": "greedy", "model": "m.mnnet", "norms": None, "policy_seed": 0, "seed": 0,
+        "mode": "greedy", "model": "m.mnnet", "norms": None, "seed": 0,
     },
     ("serve", True): {
         "bind": "0.0.0.0:9999", "blind": True, "catalog": "c.txt", "exclude": "default",
-        "mode": "probabilistic", "model": "m.mnnet", "norms": "n.txt", "policy_seed": 6,
-        "seed": 1,
+        "mode": "probabilistic", "model": "m.mnnet", "norms": "n.txt", "seed": 1,
     },
 }
 
@@ -585,7 +630,8 @@ def test_train_defaults_come_from_train_config():
         assert defaults["batch_size"] == config.batch_size
         assert defaults["learning_rate"] == config.learning_rate
         assert defaults["seed"] == config.seed
-        assert encoding.parse_mask(defaults["mask"]) == config.mask
+    train_defaults = vars(cli.build_parser().parse_args(["train"]))
+    assert encoding.parse_mask(train_defaults["mask"]) == config.mask
 
 
 # -- failure modes ------------------------------------------------------------------
@@ -800,6 +846,32 @@ def test_extract_memory_is_bounded_by_one_game(tmp_path, capsys):
     assert large <= 1.5 * small, (small, large)
 
 
+def _synth_peak_bytes(games: int, out: Path) -> int:
+    tracemalloc.start()
+    try:
+        assert main(["synth", "--games", str(games), "--seed", "2", "--out", str(out)]) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_synth_memory_is_bounded_by_one_game(tmp_path, capsys):
+    """Each game is written as it is generated, so four times the games do
+    not take four times the memory."""
+    assert main(["synth", "--games", "2", "--out", str(tmp_path / "warm")]) == 0
+    small = _synth_peak_bytes(20, tmp_path / "20")
+    large = _synth_peak_bytes(80, tmp_path / "80")
+    capsys.readouterr()
+    assert large <= 1.5 * small, (small, large)
+
+
+def test_synth_without_games_fails_and_writes_nothing(tmp_path, capsys):
+    out = tmp_path / "corpus"
+    assert main(["synth", "--games", "0", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: n_games must be at least 1\n"
+    assert not out.exists()
+
+
 def test_read_dataset_memory_is_about_one_file(pinned_events, tmp_path):
     """read_dataset reads each game's vectors straight into the dataset's
     matrix, so its peak stays near one copy of the file, and it leaves the
@@ -871,6 +943,28 @@ def test_extract_writes_through_a_symlinked_out(pipeline, tmp_path):
 def test_missing_required_option_fails(capsys):
     assert main(["extract", "--out", "x.mnds"]) == 1
     assert "--events" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, missing",
+    [
+        (["extract"], "--events, --out"),
+        (["synth"], "--out"),
+        (["train", "--out", "m.mnnet"], "--dataset"),
+        (["eval"], "--dataset, --model"),
+        (["ablate"], "--dataset"),
+        (["analyze", "--model", "m.mnnet"], "--dataset, --out"),
+        (["serve"], "--model"),
+    ],
+)
+def test_missing_required_options_are_named_in_declaration_order(capsys, argv, missing):
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: missing required options: {missing}\n"
+
+
+def test_required_option_may_come_from_the_config_file(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "cmd_eval", lambda args: 0)
+    assert _main_with_config(tmp_path, ["eval", "--model", "m"], {"dataset": "d"}) == 0
 
 
 def test_fixed_generator_requires_script(tmp_path, capsys):

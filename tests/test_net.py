@@ -380,6 +380,15 @@ def test_check_compatibility_compares_recorded_hashes():
     check_compatibility(init_network(), "any", "thing")  # records no hash
 
 
+@pytest.mark.parametrize("sizes", [(210, 8, 10), (200, 8, 58), (58, 8, 210)])
+@pytest.mark.parametrize("meta", [ModelMeta(), ModelMeta(catalog_hash="cat", norms_hash="nrm")])
+def test_check_compatibility_requires_the_pipelines_input_and_output_sizes(sizes, meta):
+    net = init_network(NetworkTopology(layer_sizes=sizes), meta=meta)
+    with pytest.raises(CompatibilityError, match=f"{sizes[0]} inputs to {sizes[-1]} outputs"):
+        check_compatibility(net, "cat", "nrm")
+    check_compatibility(init_network(NetworkTopology((210, 8, 58)), meta=meta), "cat", "nrm")
+
+
 def test_model_version_tracks_parameters():
     net = tiny((6, 5, 4), seed=3)
     v0 = net.model_version()

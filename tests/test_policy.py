@@ -333,6 +333,15 @@ def test_decide_accepts_untagged_model(catalog, norms):
     assert 0 <= idx < N_CLASSES
 
 
+def test_decide_refuses_a_model_of_the_wrong_shape(catalog, norms):
+    """A model carrying the pipeline's hashes but only ten outputs would
+    otherwise choose among the first ten builds."""
+    meta = ModelMeta(catalog_hash=catalog.content_hash(), norms_hash=norms.content_hash())
+    net = init_network(NetworkTopology(layer_sizes=(210, 8, 10)), meta=meta)
+    with pytest.raises(CompatibilityError, match="210 inputs to 10 outputs"):
+        decide(net, initial_state(catalog), catalog, norms, DecisionPolicy())
+
+
 def test_decide_serializes_the_catalog_once(norms, monkeypatch):
     catalog = load_default_catalog()
     writes = []

@@ -20,7 +20,7 @@ from macronet.errors import (
     ProtocolError,
 )
 from macronet.forward import initial_state
-from macronet.net import ModelMeta, init_network
+from macronet.net import ModelMeta, NetworkTopology, init_network
 from macronet.policy import DecisionPolicy, Mode
 from macronet.service import (
     DEFAULT_TIMEOUT,
@@ -341,6 +341,38 @@ def test_server_rejects_mismatched_model(catalog, norms):
     net = init_network(meta=ModelMeta(catalog_hash="0" * 16, norms_hash="0" * 16))
     with pytest.raises(CompatibilityError):
         PredictionServer(net, catalog, norms)
+
+
+def test_server_rejects_a_model_of_the_wrong_shape(catalog, norms):
+    meta = ModelMeta(catalog_hash=catalog.content_hash(), norms_hash=norms.content_hash())
+    net = init_network(NetworkTopology(layer_sizes=(210, 8, 10)), meta=meta)
+    with pytest.raises(CompatibilityError, match="210 inputs to 10 outputs"):
+        PredictionServer(net, catalog, norms)
+
+
+@pytest.mark.parametrize("with_vector", [True, False], ids=["decision", "error"])
+def test_a_reply_past_the_frame_limit_becomes_an_error_that_fits(
+    server, catalog, norms, with_vector
+):
+    """json spells each non-ASCII character of the echoed request_id as a
+    6-byte escape, so a request under the frame limit can ask for a reply
+    three times over it; that reply is replaced by an error the client reads,
+    and the connection goes on."""
+    body = {"request_id": "\u00e9" * 500_000}
+    if with_vector:
+        body["vector"] = initial_vector(catalog, norms)
+    payload = json.dumps(body, ensure_ascii=False).encode("utf-8")
+    assert len(payload) <= MAX_MESSAGE_BYTES
+    with PredictionClient(server.server_address, timeout=5.0) as client:
+        write_frame(client._stream, payload)
+        response = json.loads(read_frame(client._stream))
+        assert response["request_id"] == ""
+        assert response["error"]["kind"] == "bad-request"
+        assert "exceeds the frame limit" in response["error"]["message"]
+        request = {"request_id": "next", "vector": initial_vector(catalog, norms)}
+        response = client.predict(request)
+        assert response["request_id"] == "next"
+        assert "error" not in response
 
 
 # -- transport failures ------------------------------------------------------------
