@@ -316,6 +316,10 @@ def cmd_ablate(args) -> int:
                 "errors": {
                     str(k): {"mean": row.mean(k), "std": row.std(k)} for k in report.ks
                 },
+                "epoch_seconds": [list(run) for run in row.epoch_seconds],
+                "epoch_pairs_per_s": [
+                    [report.train_pairs / s for s in run] for run in row.epoch_seconds
+                ],
             }
             for row in report.rows
         ],
@@ -489,10 +493,11 @@ class _Subcommand(argparse.ArgumentParser):
     """A subcommand's parser that adds its own flags when it first parses,
     so the modules owning their defaults load only for the command run.
     Flags declared with add_required are checked once the config file is
-    merged, so a required option may come from either."""
+    merged, so a required option may come from either. An option must be
+    spelled out: a prefix of one is not read as the option."""
 
     def __init__(self, *args, add_flags, **kwargs):
-        super().__init__(*args, **kwargs)
+        super().__init__(*args, allow_abbrev=False, **kwargs)
         self._add_flags = add_flags
         self.required_flags: list[argparse.Action] = []
 
@@ -508,7 +513,7 @@ class _Subcommand(argparse.ArgumentParser):
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="macronet", description="build-order prediction toolkit"
+        prog="macronet", description="build-order prediction toolkit", allow_abbrev=False
     )
     parser.add_argument("--version", action="version", version="macronet 0.1.0")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Subcommand)

@@ -251,10 +251,13 @@ def parse_mask(label: str) -> FeatureGroupMask:
     return FeatureGroupMask("".join(g for g in GROUP_SLICES if g in groups))
 
 
-def apply_mask(vector: np.ndarray, mask: FeatureGroupMask) -> np.ndarray:
+def apply_mask(
+    vector: np.ndarray, mask: FeatureGroupMask, in_place: bool = False
+) -> np.ndarray:
     """Zero out excluded groups; included coordinates pass through unchanged.
-    Accepts a single vector or a (n, 210) batch; returns a copy."""
-    out = np.array(vector, dtype=np.float64, copy=True)
+    Accepts a single vector or a (n, 210) batch; returns a copy, or with
+    in_place zeroes the vector itself, which must be float64, and returns it."""
+    out = vector if in_place else np.array(vector, dtype=np.float64, copy=True)
     for group, columns in GROUP_SLICES.items():
         if group not in mask.groups:
             out[..., columns] = 0.0

@@ -11,6 +11,13 @@ per-example gradients.
 
 All parameters live in one float64 vector in file order (W0 row-major, b0,
 W1, b1, ...); gradients and Adam's moments are vectors of the same shape.
+
+The public functions are functional: ``backward_batch`` and ``adam_step``
+allocate what they return and leave their arguments alone. A training run
+instead passes both one ``Workspace``, allocated once for its topology and
+batch size, and they run the same code in its buffers: ``adam_step`` then
+updates the parameters and moments in place, and what either returns from
+the workspace is overwritten by the next step.
 """
 
 from __future__ import annotations
@@ -141,34 +148,42 @@ def init_network(
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
-    shifted = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    """Softmax over the last axis, written into z."""
+    z -= z.max(axis=-1, keepdims=True)
+    np.exp(z, out=z)
+    z /= z.sum(axis=-1, keepdims=True)
+    return z
 
 
-def _forward_cached(net: Network, X: np.ndarray):
-    """Returns (each layer's input, probs). A hidden layer's input is the
-    previous layer's ReLU output, whose sign is the ReLU's derivative."""
-    inputs = []
+def _forward_layers(net: Network, X: np.ndarray, outputs=None):
+    """Yields each layer's input, then the probabilities. A hidden layer's
+    input is the previous layer's ReLU output, whose sign is the ReLU's
+    derivative. Layer i writes into outputs[i] when given, else into a fresh
+    array, and holds no reference to a layer's input once it has yielded the
+    next one."""
     a = X
     last = len(net.layers) - 1
     for i, (W, b) in enumerate(net.layers):
-        inputs.append(a)
-        z = a @ W.T + b
+        yield a
+        z = np.matmul(a, W.T, out=None if outputs is None else outputs[i])
+        z += b
         a = _softmax(z) if i == last else np.maximum(z, 0.0, out=z)
-    return inputs, a
+    yield a
 
 
-def _check_input(net: Network, X: np.ndarray) -> np.ndarray:
-    """X as float64, with the groups the model's mask excludes zeroed in a
-    copy, so a masked model never reads features it was not trained on."""
+def _check_input(net: Network, X: np.ndarray, in_place: bool = False) -> np.ndarray:
+    """X as float64, with the groups the model's mask excludes zeroed (in X
+    itself when in_place, else in a copy), so a masked model never reads
+    features it was not trained on."""
     X = np.asarray(X, dtype=np.float64)
     if X.shape[-1] != net.topology.input_size:
         raise ValueError(
             f"input has {X.shape[-1]} features, network expects "
             f"{net.topology.input_size}"
         )
-    return X if net.meta.mask == FULL_MASK else apply_mask(X, net.meta.mask)
+    if net.meta.mask == FULL_MASK:
+        return X
+    return apply_mask(X, net.meta.mask, in_place=in_place)
 
 
 def forward(net: Network, x: np.ndarray) -> np.ndarray:
@@ -180,11 +195,14 @@ def forward(net: Network, x: np.ndarray) -> np.ndarray:
 
 
 def forward_batch(net: Network, X: np.ndarray) -> np.ndarray:
+    """Class distributions for a (n, features) batch, computed one layer at
+    a time: besides X, it holds at most one layer's input and output."""
     X = _check_input(net, X)
     if X.ndim != 2:
         raise ValueError(f"forward_batch expects (n, features), got shape {X.shape}")
-    _, probs = _forward_cached(net, X)
-    return probs
+    for a in _forward_layers(net, X):
+        pass
+    return a
 
 
 def loss(dist: np.ndarray, target_class: int) -> float:
@@ -199,30 +217,69 @@ def batch_loss(probs: np.ndarray, targets: np.ndarray) -> float:
     return float(-np.log(np.maximum(picked, PROBABILITY_FLOOR)).mean())
 
 
+class Workspace:
+    """The buffers one training run writes, allocated once for a topology and
+    a batch size: the gathered batch and its targets; each layer's output,
+    delta and ReLU mask; each layer's weight gradient as an (in, out) matrix;
+    the gradient vector; and Adam's finite-check mask, scratch and update
+    vectors. A batch of n rows uses the leading n rows of each buffer."""
+
+    def __init__(self, topology: NetworkTopology, batch_size: int):
+        sizes, n_params = topology.layer_sizes, topology.n_params
+        self.batch = np.empty((batch_size, sizes[0]))
+        self.targets = np.empty(batch_size, dtype=np.int64)
+        self.rows = np.arange(batch_size)
+        self.outputs = [np.empty((batch_size, s)) for s in sizes[1:]]
+        self.deltas = [np.empty((batch_size, s)) for s in sizes[1:]]
+        self.relu_masks = [np.empty((batch_size, s), dtype=bool) for s in sizes[1:-1]]
+        self.weight_grads = [np.empty((i, o)) for i, o in zip(sizes[:-1], sizes[1:])]
+        self.grads = np.empty(n_params)
+        self.grad_views = topology.layer_views(self.grads)
+        self.finite = np.empty(n_params, dtype=bool)
+        self.scratch = np.empty(n_params)
+        self.update = np.empty(n_params)
+
+    def gather(self, X: np.ndarray, y: np.ndarray, rows: np.ndarray):
+        """(X[rows], y[rows]) copied into the batch buffers. X must be
+        float64, y int64, and every row in range: rows are not checked."""
+        n = len(rows)
+        return (
+            np.take(X, rows, axis=0, out=self.batch[:n], mode="clip"),
+            np.take(y, rows, out=self.targets[:n], mode="clip"),
+        )
+
+
 def backward_batch(
-    net: Network, X: np.ndarray, targets: np.ndarray
+    net: Network, X: np.ndarray, targets: np.ndarray, workspace: Workspace | None = None
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """Mean loss, batch probabilities, and the mean of the per-example
-    gradients, shaped like params."""
-    X = _check_input(net, X)
-    inputs, probs = _forward_cached(net, X)
+    gradients, shaped like params. Given a workspace, X is a batch gathered
+    into it (a masked model zeroes its excluded groups there), and the
+    probabilities and gradients returned are its buffers; without one, it
+    allocates a workspace for this call."""
+    if workspace is None:
+        X = _check_input(net, X)
+        workspace = Workspace(net.topology, len(X))
+    else:
+        X = _check_input(net, X, in_place=True)
     n = X.shape[0]
+    *inputs, probs = _forward_layers(net, X, [out[:n] for out in workspace.outputs])
     mean_loss = batch_loss(probs, targets)
     # Softmax + cross entropy: output pre-activation gradient is probs - onehot.
-    delta = probs.copy()
-    delta[np.arange(n), targets] -= 1.0
+    delta = workspace.deltas[-1][:n]
+    np.copyto(delta, probs)
+    delta[workspace.rows[:n], targets] -= 1.0
     delta /= n
-    grads = np.empty_like(net.params)
-    grad_views = net.topology.layer_views(grads)
     for i in range(len(net.layers) - 1, -1, -1):
-        dW, db = grad_views[i]
+        dW, db = workspace.grad_views[i]
         # Computed as (a.T @ delta).T because its bits do not depend on the
         # BLAS thread count; those of delta.T @ a do, at the first layer.
-        dW[...] = (inputs[i].T @ delta).T
+        dW[...] = np.matmul(inputs[i].T, delta, out=workspace.weight_grads[i]).T
         delta.sum(axis=0, out=db)
         if i > 0:
-            delta = (delta @ net.layers[i][0]) * (inputs[i] > 0.0)
-    return mean_loss, probs, grads
+            delta = np.matmul(delta, net.layers[i][0], out=workspace.deltas[i - 1][:n])
+            delta *= np.greater(inputs[i], 0.0, out=workspace.relu_masks[i - 1][:n])
+    return mean_loss, probs, workspace.grads
 
 
 # ---------------------------------------------------------------------------
@@ -241,37 +298,45 @@ class AdamState:
 
 
 def init_adam(net: Network, alpha: float) -> AdamState:
-    zeros = np.zeros_like(net.params)
-    return AdamState(t=0, m=zeros, v=zeros, alpha=alpha)
+    """Zero moments, in two arrays: adam_step may update them in place."""
+    m, v = np.zeros_like(net.params), np.zeros_like(net.params)
+    return AdamState(t=0, m=m, v=v, alpha=alpha)
 
 
 def adam_step(
-    net: Network, adam: AdamState, grads: np.ndarray
+    net: Network, adam: AdamState, grads: np.ndarray, workspace: Workspace | None = None
 ) -> tuple[Network, AdamState]:
-    """One bias-corrected Adam update (Kingma & Ba 2015) into fresh vectors;
-    rejects non-finite gradients. Written with out= to spare temporaries, in
-    the operation order of m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g,
+    """One bias-corrected Adam update (Kingma & Ba 2015); rejects non-finite
+    gradients. Given a workspace, it updates net.params, adam.m and adam.v in
+    place and returns net itself; without one, it updates copies and leaves
+    its arguments alone. Written with out= to spare temporaries, in the
+    operation order of m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g,
     p = p - alpha*(m/c1) / (sqrt(v/c2) + eps), so the bits match it."""
-    if not np.isfinite(grads).all():
+    if workspace is None:
+        net = replace(net, params=net.params.copy())
+        adam = replace(adam, m=adam.m.copy(), v=adam.v.copy())
+        workspace = Workspace(net.topology, 0)
+    if not np.isfinite(grads, out=workspace.finite).all():
         raise ValueError("non-finite gradient; update rejected")
     t = adam.t + 1
     c1 = 1.0 - ADAM_BETA1**t
     c2 = 1.0 - ADAM_BETA2**t
-    scratch = np.multiply(1.0 - ADAM_BETA1, grads)
-    m = np.multiply(ADAM_BETA1, adam.m)
+    m, v, scratch, update = adam.m, adam.v, workspace.scratch, workspace.update
+    np.multiply(1.0 - ADAM_BETA1, grads, out=scratch)
+    m *= ADAM_BETA1
     m += scratch
     np.multiply(1.0 - ADAM_BETA2, grads, out=scratch)
     scratch *= grads
-    v = np.multiply(ADAM_BETA2, adam.v)
+    v *= ADAM_BETA2
     v += scratch
     np.divide(v, c2, out=scratch)
     np.sqrt(scratch, out=scratch)
     scratch += ADAM_EPS
-    params = np.divide(m, c1)
-    np.multiply(adam.alpha, params, out=params)
-    params /= scratch
-    np.subtract(net.params, params, out=params)
-    return replace(net, params=params), replace(adam, t=t, m=m, v=v)
+    np.divide(m, c1, out=update)
+    np.multiply(adam.alpha, update, out=update)
+    update /= scratch
+    np.subtract(net.params, update, out=net.params)
+    return net, replace(adam, t=t)
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ from .net import (
     ModelMeta,
     Network,
     NetworkTopology,
+    Workspace,
     adam_step,
     backward_batch,
     check_compatibility,
@@ -104,10 +105,14 @@ def train(
     before that batch's update, so epoch 1 already reflects learning within
     the epoch. When eval_set is given, top-k error on it is recorded after
     every epoch.
+
+    Every step works in one Workspace allocated for the run: the batch is
+    gathered into it, and Adam updates the network's parameters in place.
     """
     if train_set.n_pairs == 0:
         raise ValueError("training set is empty")
     X, y = train_set.stacked()
+    X, y = np.asarray(X, dtype=np.float64), np.asarray(y, dtype=np.int64)
     meta = ModelMeta(
         catalog_hash=train_set.catalog_hash,
         norms_hash=train_set.norms_hash,
@@ -118,6 +123,7 @@ def train(
     adam = init_adam(net, alpha=config.learning_rate)
     shuffle_rng = np.random.default_rng(config.seed)
     n = len(y)
+    workspace = Workspace(topology, min(config.batch_size, n))
     history: list[EpochStats] = []
     for epoch in range(1, config.epochs + 1):
         started = time.perf_counter()
@@ -125,11 +131,11 @@ def train(
         loss_sum = 0.0
         wrong = 0
         for start in range(0, n, config.batch_size):
-            idx = perm[start : start + config.batch_size]
-            batch_loss, probs, grads = backward_batch(net, X[idx], y[idx])
-            loss_sum += batch_loss * len(idx)
-            wrong += int((probs.argmax(axis=1) != y[idx]).sum())
-            net, adam = adam_step(net, adam, grads)
+            xb, yb = workspace.gather(X, y, perm[start : start + config.batch_size])
+            batch_loss, probs, grads = backward_batch(net, xb, yb, workspace)
+            loss_sum += batch_loss * len(yb)
+            wrong += int((probs.argmax(axis=1) != yb).sum())
+            net, adam = adam_step(net, adam, grads, workspace)
         seconds = time.perf_counter() - started
         eval_errors = None
         if eval_set is not None:
@@ -216,8 +222,12 @@ def uniform_random_error(k: int, n_classes: int = N_CLASSES) -> float:
 
 @dataclass(frozen=True)
 class AblationRow:
+    """One mask's top-k errors, and the wall time of each epoch, per run.
+    The times are left out of equality, so equal grids compare equal."""
+
     label: str
     runs: tuple[dict[int, float], ...]
+    epoch_seconds: tuple[tuple[float, ...], ...] = field(default=(), compare=False)
 
     def mean(self, k: int) -> float:
         return float(np.mean([r[k] for r in self.runs]))
@@ -233,6 +243,7 @@ class AblationReport:
     rows: tuple[AblationRow, ...]
     ks: tuple[int, ...]
     repeats: int
+    train_pairs: int
 
 
 def run_ablation_grid(
@@ -251,13 +262,18 @@ def run_ablation_grid(
     train_set, test_set = split_dataset(dataset, fraction)
     rows = []
     for mask in masks:
-        runs = []
+        runs, seconds = [], []
         for i in range(repeats):
             config = replace(base_config, mask=mask, seed=base_config.seed + i)
-            net, _ = train(train_set, config)
+            net, history = train(train_set, config)
             runs.append(evaluate_topk(net, test_set, ks))
-        rows.append(AblationRow(label=mask.label(), runs=tuple(runs)))
-    return AblationReport(rows=tuple(rows), ks=tuple(ks), repeats=repeats)
+            seconds.append(tuple(h.seconds for h in history))
+        rows.append(
+            AblationRow(label=mask.label(), runs=tuple(runs), epoch_seconds=tuple(seconds))
+        )
+    return AblationReport(
+        rows=tuple(rows), ks=tuple(ks), repeats=repeats, train_pairs=train_set.n_pairs
+    )
 
 
 def format_ablation_report(report: AblationReport) -> str:

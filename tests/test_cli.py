@@ -126,12 +126,16 @@ def test_train_json_report(pipeline, tmp_path, capsys):
     assert report["train_pairs"] + report["test_pairs"] == 240
 
 
+# Wall-clock figures: they differ between equal runs.
+_EPOCH_TIMING_KEYS = ("epoch_seconds", "epoch_pairs_per_s")
+
+
 def test_train_json_times_each_epoch(pipeline, tmp_path, capsys):
     argv = ["train", "--dataset", str(pipeline["dataset"]), "--epochs", "3", "--json"]
     capsys.readouterr()
     assert main(argv + ["--out", str(tmp_path / "m.mnnet")]) == 0
     report = json.loads(capsys.readouterr().out)
-    for key in ("epoch_seconds", "epoch_pairs_per_s"):
+    for key in _EPOCH_TIMING_KEYS:
         assert len(report[key]) == 3, key
         assert all(value > 0 for value in report[key]), key
 
@@ -182,8 +186,23 @@ def test_ablate_json_shape(pipeline, capsys):
     assert report["repeats"] == 2
     assert [row["mask"] for row in report["rows"]] == ["a+b+c+d+e", "a"]
     for row in report["rows"]:
+        for key in _EPOCH_TIMING_KEYS:
+            del row[key]
+        assert set(row) == {"mask", "errors"}
         assert set(row["errors"]) == {"1", "3", "10"}
         assert row["errors"]["1"]["std"] >= 0.0
+
+
+def test_ablate_json_times_each_epoch_of_each_run(pipeline, capsys):
+    argv = ["ablate", "--dataset", str(pipeline["dataset"]), "--masks", "a+b,a",
+            "--repeats", "2", "--epochs", "3", "--json"]
+    capsys.readouterr()
+    assert main(argv) == 0
+    for row in json.loads(capsys.readouterr().out)["rows"]:
+        for key in _EPOCH_TIMING_KEYS:
+            assert len(row[key]) == 2, key
+            for run in row[key]:
+                assert len(run) == 3 and all(value >= 0 for value in run), key
 
 
 def test_analyze_csv_round_trips(pipeline, tmp_path, capsys):
@@ -441,12 +460,15 @@ _OTHER_COMMAND_ARGV = {
     [
         ["simulate", "--policy-seed", "1"],
         ["serve", "--model", "m.mnnet", "--policy-seed", "1"],
+        ["ablate", "--dataset", "d.mnds", "--mask", "a"],
+        ["train", "--dataset", "d.mnds", "--out", "m.mnnet", "--epoch", "1"],
     ],
 )
 def test_removed_options_are_usage_errors(argv, capsys):
     """--policy-seed never changed a decision: each side and each connection
-    passes its own rng. (ablate's --mask, which each row overrode, is gone
-    too, but argparse now reads it as an abbreviation of --masks.)"""
+    passes its own rng. ablate's --mask, which each row overrode, is gone
+    too. A prefix of an option is not read as the option, so neither --mask
+    (for --masks) nor a mistyped --epoch (for --epochs) sets another."""
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2

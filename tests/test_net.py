@@ -1,6 +1,7 @@
 import contextlib
 import io
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -12,6 +13,9 @@ from gradcheck import backward, finite_difference_gradients
 from macronet.encoding import FeatureGroupMask, apply_mask, parse_mask
 from macronet.errors import CompatibilityError, FormatError
 from macronet.net import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
     DEFAULT_LAYER_SIZES,
     ModelMeta,
     Network,
@@ -27,6 +31,7 @@ from macronet.net import (
     load_model,
     loss,
     save_model,
+    Workspace,
 )
 
 
@@ -233,6 +238,126 @@ def test_adam_rejects_nonfinite_gradients():
     bad[0] = np.inf
     with pytest.raises(ValueError):
         adam_step(net, adam, bad)
+
+
+def test_init_adam_moments_never_share_memory():
+    net = tiny()
+    adam = init_adam(net, alpha=0.0001)
+    assert not np.shares_memory(adam.m, adam.v)
+    _, stepped = adam_step(net, adam, backward(net, np.ones(6), 0))
+    assert not np.shares_memory(stepped.m, stepped.v)
+
+
+def _bits(a: np.ndarray) -> bytes:
+    return a.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    t=st.integers(0, 10_000),
+    alpha=st.floats(1e-6, 1.0),
+    steps=st.integers(1, 3),
+)
+def test_in_place_adam_step_equals_the_functional_step_bit_for_bit(seed, t, alpha, steps):
+    """Over random parameters, moments, gradients and step counts, adam_step
+    in a workspace gives the bits of the functional step, and both give
+    those of the update's formula evaluated in its written order."""
+    rng = np.random.default_rng(seed)
+    net = tiny((4, 3, 2))
+    net = replace(net, params=rng.normal(size=net.params.shape))
+    scale = 10.0 ** rng.integers(-8, 3)
+    adam = replace(
+        init_adam(net, alpha=alpha),
+        t=t,
+        m=scale * rng.normal(size=net.params.shape),
+        v=scale * scale * rng.random(net.params.shape),
+    )
+    in_place_net = replace(net, params=net.params.copy())
+    in_place = replace(adam, m=adam.m.copy(), v=adam.v.copy())
+    workspace = Workspace(net.topology, 1)
+    p, m, v = net.params.copy(), adam.m.copy(), adam.v.copy()
+    for k in range(1, steps + 1):
+        grads = scale * rng.normal(size=net.params.shape)
+        net, adam = adam_step(net, adam, grads)
+        returned, in_place = adam_step(in_place_net, in_place, grads, workspace)
+        assert returned is in_place_net
+        c1, c2 = 1.0 - ADAM_BETA1 ** (t + k), 1.0 - ADAM_BETA2 ** (t + k)
+        m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * grads
+        v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * grads * grads
+        p = p - alpha * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
+        assert adam.t == in_place.t == t + k
+        for expected, functional, updated in (
+            (p, net.params, in_place_net.params),
+            (m, adam.m, in_place.m),
+            (v, adam.v, in_place.v),
+        ):
+            assert _bits(functional) == _bits(expected) == _bits(updated)
+
+
+def test_in_place_adam_step_rejects_nonfinite_gradients_untouched():
+    net = tiny()
+    adam = init_adam(net, alpha=0.0001)
+    before = net.params.copy()
+    bad = backward(net, np.ones(6), 0)
+    bad[-1] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        adam_step(net, adam, bad, Workspace(net.topology, 1))
+    np.testing.assert_array_equal(net.params, before)
+    assert not adam.m.any() and not adam.v.any()
+
+
+@pytest.mark.parametrize("mask", ["a+b+c+d+e", "a+c"])
+def test_workspace_backward_equals_fresh_backward(rng, mask):
+    """A workspace sized for 100 rows, reused over batches of 100, 100 and
+    57 (the ragged last batch of 257), gives the bits of backward_batch
+    called without one; a masked model zeroes the gathered batch itself."""
+    net = init_network(seed=4, meta=ModelMeta(mask=parse_mask(mask)))
+    X = rng.random((257, 210))
+    y = rng.integers(0, 58, size=257)
+    rows = rng.permutation(257)
+    workspace = Workspace(net.topology, 100)
+    for start in (0, 100, 200):
+        batch = rows[start : start + 100]
+        expected = backward_batch(net, X[batch], y[batch])
+        xb, yb = workspace.gather(X, y, batch)
+        got = backward_batch(net, xb, yb, workspace)
+        assert len(yb) == len(batch)
+        assert got[0] == expected[0]
+        assert _bits(got[1]) == _bits(expected[1])
+        assert _bits(got[2]) == _bits(expected[2])
+        assert got[2] is workspace.grads
+    assert X[:, 58:].all()  # gathering copies: the dataset itself is untouched
+
+
+def _reference_forward(net: Network, X: np.ndarray) -> np.ndarray:
+    """The forward pass as separate expressions, each layer kept."""
+    a = X
+    for i, (W, b) in enumerate(net.layers):
+        z = a @ W.T + b
+        if i < len(net.layers) - 1:
+            a = np.maximum(z, 0.0)
+        else:
+            e = np.exp(z - z.max(axis=-1, keepdims=True))
+            a = e / e.sum(axis=-1, keepdims=True)
+    return a
+
+
+def test_forward_batch_holds_one_layer_at_a_time(rng):
+    """forward_batch keeps a layer's input only until the next layer's output
+    is computed: its peak is about two hidden layers, not all four of the
+    default network, and the probabilities keep their bits."""
+    net = init_network(seed=1)
+    X = rng.random((2000, 210))
+    tracemalloc.start()
+    try:
+        probs = forward_batch(net, X)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    hidden_layer = X.shape[0] * DEFAULT_LAYER_SIZES[1] * 8
+    assert peak < 2.5 * hidden_layer, peak / hidden_layer
+    assert _bits(probs) == _bits(_reference_forward(net, X))
 
 
 def test_training_loop_decreases_loss(rng):
