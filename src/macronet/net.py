@@ -187,11 +187,18 @@ def _check_input(net: Network, X: np.ndarray, in_place: bool = False) -> np.ndar
 
 
 def forward(net: Network, x: np.ndarray) -> np.ndarray:
-    """Class distribution for one input vector. Non-negative, sums to 1."""
+    """Class distribution for one input vector. Non-negative, sums to 1.
+
+    The layers run on the 1-D vector itself, not on a batch of one. Its bits
+    equal those of forward_batch on the one-row batch x[None], not those of
+    a row of a larger batch, whose matrix product may round differently;
+    so the service answers each request on its own."""
     x = np.asarray(x)
     if x.ndim != 1:
         raise ValueError(f"forward expects a single vector, got shape {x.shape}")
-    return forward_batch(net, x[None, :])[0]
+    for a in _forward_layers(net, _check_input(net, x)):
+        pass
+    return a
 
 
 def forward_batch(net: Network, X: np.ndarray) -> np.ndarray:

@@ -141,7 +141,9 @@ def decide_from_vector(
     if policy.mode is Mode.RANDOM:
         dist = uniform_distribution(net.topology.output_size, policy.exclusions)
         return select_probabilistic(dist, rng), dist
-    dist = apply_exclusions(forward(net, vector), policy.exclusions)
+    dist = forward(net, vector)
+    if policy.exclusions:
+        dist = apply_exclusions(dist, policy.exclusions)
     return _select(dist, policy, rng), dist
 
 

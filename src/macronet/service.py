@@ -29,6 +29,7 @@ from __future__ import annotations
 import contextlib
 import itertools
 import json
+import math
 import selectors
 import socket
 import struct
@@ -204,7 +205,8 @@ def _vector_from_json(obj) -> np.ndarray:
         vec = np.asarray(obj, dtype=np.float64)
     except OverflowError:
         raise _RequestError("bad-request", "vector values must lie in [0, 1]")
-    if not np.isfinite(vec).all() or vec.min() < 0.0 or vec.max() > 1.0:
+    # False for NaN and for either infinity as well.
+    if not (vec.min() >= 0.0 and vec.max() <= 1.0):
         raise _RequestError("bad-request", "vector values must lie in [0, 1]")
     return vec
 
@@ -236,6 +238,9 @@ class PredictionServer:
         # The reply's fixed JSON: each build's name and key, the model version.
         self._names_json = [json.dumps(spec.name) for spec in catalog.builds]
         self._keys_json = [name + ": " for name in self._names_json]
+        self._distribution_template = ", ".join(
+            key.replace("%", "%%") + "%r" for key in self._keys_json
+        )
         self._version_json = json.dumps(self.model_version)
         self.socket = socket.create_server(address, backlog=MAX_CONNECTIONS)
         self.socket.setblocking(False)
@@ -272,8 +277,9 @@ class PredictionServer:
             else:
                 state = _state_from_json(request["state"], self.catalog)
                 vec = encode(state, self.catalog, self.norms)
-            policy = _policy_from_json(self.policy, request.get("policy"), self.catalog)
-            if "seed" in (request.get("policy") or {}):
+            spec = request.get("policy")
+            policy = _policy_from_json(self.policy, spec, self.catalog)
+            if spec and "seed" in spec:
                 rng = np.random.default_rng([self.seed, policy.seed])
             try:
                 index, dist = decide_from_vector(self.net, vec, policy, rng)
@@ -293,9 +299,17 @@ class PredictionServer:
 
     def _reply(self, request_id: str, index: int, dist: np.ndarray, latency: int) -> bytes:
         """json.dumps of a decision's reply body, joined from the text encoded
-        at start-up and each probability's repr, as json spells a float."""
-        probs = [_NON_FINITE_JSON.get(p, p) for p in map(repr, dist.tolist())]
-        distribution = ", ".join(map(str.__add__, self._keys_json, probs))
+        at start-up and each probability's repr, as json spells a float. The
+        distribution fills one %r template of the keys, built at start-up.
+        When the probabilities' sum is not finite, as it is not when one of
+        them is NaN or infinite, they are joined one at a time instead, with
+        json's NaN, Infinity and -Infinity for repr's nan, inf and -inf."""
+        probs = dist.tolist()
+        if math.isfinite(sum(probs)):
+            distribution = self._distribution_template % tuple(probs)
+        else:
+            probs = [_NON_FINITE_JSON.get(p, p) for p in map(repr, probs)]
+            distribution = ", ".join(map(str.__add__, self._keys_json, probs))
         return (
             f'{{"request_id": {json.dumps(request_id)}, '
             f'"build": {{"name": {self._names_json[index]}, "index": {index}}}, '
@@ -357,7 +371,9 @@ class PredictionServer:
             self._sel.unregister(sock)
             sock.close()
             return
-        self._sel.modify(sock, selectors.EVENT_WRITE if outbox else selectors.EVENT_READ, key.data)
+        events = selectors.EVENT_WRITE if outbox else selectors.EVENT_READ
+        if events != key.events:
+            self._sel.modify(sock, events, key.data)
 
     # -- lifecycle ------------------------------------------------------------
 

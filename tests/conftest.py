@@ -6,10 +6,12 @@ lazily, the first time a test asks for them, and reused by every test that
 needs a realistic trained model.
 """
 
+# macronet first: importing it sets OPENBLAS_NUM_THREADS=1 unless a thread
+# count is already set, which OpenBLAS reads only when numpy loads.
+import macronet as mn  # isort: skip
 import numpy as np
 import pytest
 
-import macronet as mn
 from macronet.simulate import ReactiveScript
 from macronet.training import TrainConfig, split_dataset, train
 

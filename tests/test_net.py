@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from blas_threads import outputs_at_one_and_two_threads
 from gradcheck import backward, finite_difference_gradients
 from macronet.encoding import FeatureGroupMask, apply_mask, parse_mask
 from macronet.errors import CompatibilityError, FormatError
@@ -115,6 +116,27 @@ def test_forward_batch_matches_single(rng):
     batch = forward_batch(net, X)
     for i in range(9):
         np.testing.assert_allclose(batch[i], forward(net, X[i]), atol=1e-15)
+
+
+FORWARD_PIN_SCRIPT = """
+import numpy as np
+from macronet.encoding import parse_mask
+from macronet.net import ModelMeta, forward, forward_batch, init_network
+rng = np.random.default_rng(11)
+vectors = [*rng.random((500, 210)), np.zeros(210), np.ones(210)]
+models = [init_network(seed=5), init_network(seed=6, meta=ModelMeta(mask=parse_mask("a+c+e")))]
+print(sum(forward(m, x).tobytes() != forward_batch(m, x[None])[0].tobytes()
+          for m in models for x in vectors))
+"""
+
+
+def test_one_vector_forward_equals_a_one_row_batch_bit_for_bit():
+    """forward runs the layers on the 1-D vector; its bits equal those of a
+    one-row forward_batch at one and at two BLAS threads, on the default
+    topology and on an a+c+e model. numpy and the BLAS build decide this, so
+    a build that breaks it fails here."""
+    for threads, out in outputs_at_one_and_two_threads(FORWARD_PIN_SCRIPT, timeout=120).items():
+        assert out.split() == ["0"], threads
 
 
 def test_forward_rejects_bad_shape(rng):

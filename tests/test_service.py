@@ -293,6 +293,9 @@ def test_arbitrary_json_never_gets_an_internal_error(unstarted_server, body, pol
 )
 @example(probs=[float("nan"), float("inf"), -float("inf"), -0.0] + [1e-300] * 54,
          request_id='"\u2028\\', index=0, latency=0)
+@example(probs=[0.5, float("nan"), 0.25, float("inf"), -float("inf")] + [0.125] * 53,
+         request_id="r", index=57, latency=1)
+@example(probs=[0.0, 1.0, 5e-324] + [2.0**-60] * 55, request_id="", index=2, latency=0)
 def test_reply_bytes_equal_json_dumps(unstarted_server, catalog, probs, request_id, index, latency):
     """The reply joined from precomputed text is, byte for byte, json.dumps
     of the reply body as a dict, non-finite probabilities included."""
@@ -305,6 +308,42 @@ def test_reply_bytes_equal_json_dumps(unstarted_server, catalog, probs, request_
     }
     reply = unstarted_server._reply(request_id, index, np.array(probs), latency)
     assert reply == json.dumps(body).encode("utf-8")
+
+
+def _vector_with(literal: str):
+    """A 210-value vector request's list, as json.loads reads it, holding
+    the given JSON number text at its first and last places."""
+    values = [literal] + ["0.5"] * 208 + [literal]
+    return json.loads("[" + ", ".join(values) + "]")
+
+
+_OUT_OF_RANGE = "vector values must lie in [0, 1]"
+
+
+@pytest.mark.parametrize(
+    "literal,message",
+    [
+        ("NaN", _OUT_OF_RANGE),
+        ("Infinity", _OUT_OF_RANGE),
+        ("-Infinity", _OUT_OF_RANGE),
+        ("1.0000000000000002", _OUT_OF_RANGE),
+        ("-1e-300", _OUT_OF_RANGE),
+        ("1e400", _OUT_OF_RANGE),  # read as inf
+        (str(2**1100), _OUT_OF_RANGE),  # an integer past float range
+        ("true", "vector entries must be numbers"),
+    ],
+)
+def test_vector_values_outside_the_unit_interval_are_rejected(literal, message):
+    with pytest.raises(service._RequestError) as caught:
+        service._vector_from_json(_vector_with(literal))
+    assert (caught.value.kind, str(caught.value)) == ("bad-request", message)
+
+
+@pytest.mark.parametrize("literal", ["0", "1", "-0.0"])
+def test_vector_values_at_the_unit_interval_bounds_are_accepted(literal):
+    vec = service._vector_from_json(_vector_with(literal))
+    assert vec.dtype == np.float64
+    assert vec[0] == vec[-1] == float(literal)
 
 
 def test_latency_covers_decoding(unstarted_server, catalog, norms, monkeypatch):
@@ -481,6 +520,113 @@ def test_frame_split_by_a_pause_is_answered(server, catalog, norms):
         reply = read_frame(client._stream)
     assert reply is not None
     assert json.loads(reply)["request_id"] == "slow"
+
+
+@pytest.fixture(scope="module")
+def running_server(service_net, catalog, norms):
+    with PredictionServer(service_net, catalog, norms, seed=0) as srv:
+        yield srv
+
+
+def _stream_frames(catalog, norms):
+    """Payload maker and expected (request_id, error kind) of each frame kind."""
+    vector = initial_vector(catalog, norms)
+    return {
+        "vector": (lambda rid: {"request_id": rid, "vector": vector}, None),
+        "state": (lambda rid: {"request_id": rid, "state": {"frame": 5}}, None),
+        "range": (lambda rid: {"request_id": rid, "vector": [2.0] * 210}, "bad-request"),
+        "bad-json": (lambda rid: b"{not json", "bad-json"),
+        "not-utf8": (lambda rid: b"\xff\xfe", "bad-json"),
+        "empty": (lambda rid: b"", "bad-json"),
+        "array": (lambda rid: [rid], "bad-request"),
+    }
+
+
+def _framed(body) -> bytes:
+    payload = body if isinstance(body, bytes) else json.dumps(body).encode("utf-8")
+    return struct.pack(">I", len(payload)) + payload
+
+
+def _read_replies(stream, n):
+    replies = []
+    for _ in range(n):
+        payload = read_frame(stream)
+        assert payload is not None, f"closed after {len(replies)} of {n} replies"
+        reply = json.loads(payload)
+        replies.append((reply["request_id"], reply.get("error", {}).get("kind")))
+    return replies
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    kinds=st.lists(
+        st.sampled_from(["vector", "state", "range", "bad-json", "not-utf8", "empty", "array"]),
+        max_size=8,
+    ),
+    tail=st.sampled_from(["open", "end-inside-frame", "oversize-header"]),
+    data=st.data(),
+)
+def test_one_connections_byte_stream_gets_one_reply_per_frame_in_order(
+    running_server, catalog, norms, kinds, tail, data
+):
+    """Whole frames, valid or not, split at arbitrary points and pipelined
+    with idle gaps, each get one reply in order; only an oversize header or
+    an end of stream inside a frame closes the connection."""
+    makers = _stream_frames(catalog, norms)
+    stream, expected = b"", []
+    for i, kind in enumerate(kinds):
+        make, error = makers[kind]
+        rid = f"s{i}"
+        body = make(rid)
+        stream += _framed(body)
+        expected.append((rid if isinstance(body, dict) else "", error))
+    if tail == "oversize-header":
+        stream += struct.pack(">I", MAX_MESSAGE_BYTES + 1)
+    elif tail == "end-inside-frame":
+        whole = _framed(makers["vector"][0]("cut"))
+        stream += whole[: data.draw(st.integers(1, len(whole) - 1), label="cut")]
+    cuts = sorted(data.draw(st.lists(st.integers(0, len(stream)), max_size=6), label="cuts"))
+    bounds = [0, *cuts, len(stream)]
+    with socket.create_connection(running_server.server_address, timeout=5.0) as sock:
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        replies = sock.makefile("rb")
+        for start, stop in zip(bounds, bounds[1:]):
+            time.sleep(data.draw(st.sampled_from([0.0, 0.0, 0.002, 0.02]), label="gap"))
+            sock.sendall(stream[start:stop])
+        if tail == "end-inside-frame":
+            sock.shutdown(socket.SHUT_WR)
+        assert _read_replies(replies, len(expected)) == expected
+        if tail == "open":
+            sock.sendall(_framed(makers["vector"][0]("last")))
+            assert _read_replies(replies, 1) == [("last", None)]
+        else:
+            assert read_frame(replies) is None
+        replies.close()
+
+
+def test_pipelined_replies_past_the_send_buffer_all_arrive_in_order(running_server, catalog, norms):
+    """Requests that the server reads in one recv, whose replies are far more
+    than the socket buffers hold while the client does not read: the server
+    must wait to write, with nothing left to read, then go back to reading,
+    and every reply arrives in order."""
+    make = _stream_frames(catalog, norms)["state"][0]
+    n = 1000
+    stream = b"".join(_framed(make(f"p{i}")) for i in range(n))
+    assert len(stream) < service._RECV_BYTES
+    with socket.socket() as sock:
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+        sock.settimeout(5.0)
+        sock.connect(running_server.server_address)
+        sender = threading.Thread(target=sock.sendall, args=(stream,), daemon=True)
+        sender.start()
+        time.sleep(0.2)
+        replies = sock.makefile("rb")
+        assert _read_replies(replies, n) == [(f"p{i}", None) for i in range(n)]
+        sender.join(5.0)
+        assert not sender.is_alive()
+        sock.sendall(_framed(make("last")))
+        assert _read_replies(replies, 1) == [("last", None)]
+        replies.close()
 
 
 def test_stop_is_prompt_with_an_idle_client(service_net, catalog, norms):

@@ -1,17 +1,13 @@
 import io
-import os
-import subprocess
-import sys
 import tracemalloc
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import macronet
+from blas_threads import outputs_at_one_and_two_threads
 from macronet.encoding import (
     FULL_MASK,
     N_CLASSES,
@@ -310,21 +306,7 @@ print(net.model_version(), hashlib.sha256(buf.getvalue()).hexdigest())
 def test_trained_model_bits_are_pinned():
     """The same bits at one and at two BLAS threads. BLAS does not promise
     this, so a BLAS build that breaks it fails here."""
-    src = str(Path(macronet.__file__).resolve().parents[1])
-    runs = {}
-    for threads in ("1", "2"):
-        env = {
-            **os.environ,
-            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
-            "OPENBLAS_NUM_THREADS": threads,
-            "OMP_NUM_THREADS": threads,
-        }
-        runs[threads] = subprocess.Popen(
-            [sys.executable, "-c", PIN_SCRIPT], env=env, stdout=subprocess.PIPE, text=True
-        )
-    for threads, run in runs.items():
-        out, _ = run.communicate(timeout=300)
-        assert run.returncode == 0, threads
+    for threads, out in outputs_at_one_and_two_threads(PIN_SCRIPT, timeout=300).items():
         assert out.split() == [PINNED_MODEL_VERSION, PINNED_MODEL_SHA256], threads
 
 
