@@ -24,6 +24,7 @@ import os
 import signal
 import sys
 import threading
+import time
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -193,10 +194,12 @@ def _make_generator(args, catalog: BuildCatalog):
 
 
 def cmd_synth(args) -> int:
-    """Write each game as it is generated, so memory holds one game."""
+    """Write each game as it is generated, so memory holds one game. The
+    JSON report times generating and writing the games."""
     from . import simulate
     catalog = _load_catalog(args.catalog)
     generator = _make_generator(args, catalog)
+    started = time.perf_counter()
     logs = simulate.iter_synthetic_corpus(generator, args.games, seed=args.seed)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -206,10 +209,17 @@ def cmd_synth(args) -> int:
         n_events += len(log.events)
         with open(out_dir / f"{log.game_id}{EVENT_FILE_SUFFIX}", "w", encoding="utf-8") as f:
             write_event_log(log, f, catalog)
+    seconds = time.perf_counter() - started
     _emit(
         args,
         f"wrote {n_games} games ({n_events} events) to {out_dir}",
-        {"games": n_games, "events": n_events, "out": str(out_dir)},
+        {
+            "games": n_games,
+            "events": n_events,
+            "out": str(out_dir),
+            "seconds": seconds,
+            "games_per_s": n_games / seconds,
+        },
     )
     return 0
 

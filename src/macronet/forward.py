@@ -134,7 +134,7 @@ def advance(state: MacroState, to_frame: int, catalog: BuildCatalog) -> MacroSta
         return state
     remaining = [entry for entry in production if entry[1] > to_frame]
     if len(remaining) == len(production):
-        return state._replace(frame=to_frame)
+        return MacroState(to_frame, own, enemy, production, supply_used, supply_max)
     own = own.copy()
     for build_id, done_at in production:
         if done_at <= to_frame:

@@ -90,9 +90,21 @@ def select_greedy(dist: np.ndarray) -> int:
 
 
 def select_probabilistic(dist: np.ndarray, rng: np.random.Generator) -> int:
-    """Inverse-CDF sample. Classes with zero mass are never selected; the
-    float rounding remainder above the last cumulative value goes to the
-    highest-index class with positive mass."""
+    """Inverse-CDF sample: ``pick(cumulative(dist), rng.random())``, so one
+    uniform is drawn, and none when the distribution is refused. Classes
+    with zero mass are never selected; the float rounding remainder above
+    the last cumulative value goes to the highest-index class with positive
+    mass."""
+    sums = cumulative(dist)
+    return pick(sums, rng.random())
+
+
+def cumulative(dist: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """First half of ``select_probabilistic``: the distribution as float64
+    and its cumulative sums, for ``pick``. Raises ValueError for a negative
+    entry and DegenerateDistributionError for no mass (empty or all zero).
+    Depends on the entries' values alone, so a caller drawing often from a
+    few fixed distributions may keep the result for each."""
     dist = np.asarray(dist, dtype=np.float64)
     if (dist < 0.0).any():
         raise ValueError("distribution has negative entries")
@@ -101,7 +113,15 @@ def select_probabilistic(dist: np.ndarray, rng: np.random.Generator) -> int:
     # every entry is, and NaN exactly when the sum is.
     if not cdf.size or cdf[-1] <= 0.0:
         raise DegenerateDistributionError("distribution has no mass")
-    u = rng.random()
+    return dist, cdf
+
+
+def pick(sums: tuple[np.ndarray, np.ndarray], u: float) -> int:
+    """Second half of ``select_probabilistic``: the class whose cumulative
+    interval holds the uniform ``u`` in [0, 1). A ``u`` at or above the last
+    cumulative value, the rounding remainder, goes to the highest-index
+    class with positive mass."""
+    dist, cdf = sums
     idx = int(cdf.searchsorted(u, side="right"))
     if idx >= len(dist):
         idx = int(np.flatnonzero(dist > 0.0)[-1])

@@ -26,7 +26,7 @@ from .encoding import NormalizationTable
 from .events import EventKind, EventLog, GameEvent
 from .forward import INITIAL_WORKERS, MacroState, advance, apply_event, initial_state, replay
 from .net import Network
-from .policy import DecisionPolicy, decide, select_probabilistic
+from .policy import DecisionPolicy, cumulative, decide, pick
 
 # ---------------------------------------------------------------------------
 # Synthetic corpora
@@ -53,7 +53,10 @@ class StochasticScript(Protocol):
 
     action_distribution must be a pure function of the observable state, so
     that replaying a generated log reproduces exactly the distribution each
-    recorded action was sampled from."""
+    recorded action was sampled from. That is also what lets the corpus
+    generator keep each distinct distribution's cumulative sums by value.
+    game_plan draws from the game's generator first; the decisions' uniforms
+    come after it."""
 
     catalog: BuildCatalog
 
@@ -176,8 +179,6 @@ class ReactiveScript:
         self._weapons = b("ground_weapons")
         self._marine = catalog.enemy_id("marine")
         self._vulture = catalog.enemy_id("vulture")
-        # The only types whose pending starts the rules read.
-        self._watched = (self._pylon, self._gateway, self._core, self._nexus, self._weapons)
         self._dists = {}
         for rule, probabilities in self.RULES.items():
             dist = np.zeros(len(catalog.builds))
@@ -188,23 +189,23 @@ class ReactiveScript:
 
     def action_distribution(self, state: MacroState) -> np.ndarray:
         own = state.own_count.item
-        starts = [build_id for build_id, _ in state.production]
-        pylons, gateways, cores, nexuses, weapons = map(starts.count, self._watched)
-        if state.supply_left < 8 and pylons == 0:
+        # Pending starts of a type, counted only when a rule reads them.
+        pending = [build_id for build_id, _ in state.production].count
+        if state.supply_left < 8 and pending(self._pylon) == 0:
             rule = "supply"
         elif own(self._probe) < 12:
             rule = "workers"
-        elif own(self._gateway) + gateways == 0:
+        elif own(self._gateway) + pending(self._gateway) == 0:
             rule = "gateway"
-        elif own(self._core) + cores == 0:
+        elif own(self._core) + pending(self._core) == 0:
             rule = "core"
-        elif own(self._probe) >= 24 and own(self._nexus) + nexuses == 1:
+        elif own(self._probe) >= 24 and own(self._nexus) + pending(self._nexus) == 1:
             rule = "expand"
         elif state.enemy_count.item(self._marine) >= 2:
             rule = "bio"
         elif state.enemy_count.item(self._vulture) >= 2:
             rule = "mech"
-        elif own(self._weapons) + weapons > 0:
+        elif own(self._weapons) + pending(self._weapons) > 0:
             rule = "upgraded"
         else:
             rule = "default"
@@ -256,23 +257,40 @@ def generate_synthetic_corpus(
 
 def iter_synthetic_corpus(generator: StochasticScript, n_games: int, seed: int = 0):
     """generate_synthetic_corpus's logs one at a time, each made when it is
-    asked for, so a caller that writes each in turn holds one game."""
+    asked for, so a caller that writes each in turn holds one game.
+
+    Game i draws from its own generator, spawned from ``seed``: its plan,
+    then one uniform per decision in a single call. Each decision picks with
+    its uniform from the cumulative sums of the script's distribution, kept
+    by value for the whole call (at most SUMS_CACHE_SIZE at once). The logs
+    are those of ``select_probabilistic`` at each decision."""
     if n_games < 1:
         raise ValueError("n_games must be at least 1")
     return _synthetic_games(generator, n_games, seed)
 
 
+# Most distinct distributions _synthetic_games keeps the cumulative sums of.
+SUMS_CACHE_SIZE = 256
+
+
 def _synthetic_games(generator: StochasticScript, n_games: int, seed: int):
     catalog = generator.catalog
+    # A script's distributions are pure functions of the state, and most
+    # scripts have a few; their checked cumulative sums are kept by value,
+    # and forgotten all at once when there are too many to keep.
+    sums_by_value: dict[bytes, tuple[np.ndarray, np.ndarray]] = {}
     for i, child in enumerate(np.random.SeedSequence(seed).spawn(n_games)):
         rng = np.random.default_rng(child)
         plan = generator.game_plan(rng)
+        # One uniform per decision, drawn at once: the same doubles in the
+        # same order as one rng.random() at each decision.
+        uniforms = rng.random(len(plan.periods)).tolist()
         exo = _exogenous_queue(plan)
         next_exo = 0
         state = initial_state(catalog)
         events = []
         frame = 0
-        for period in plan.periods:
+        for period, u in zip(plan.periods, uniforms):
             frame += period
             while next_exo < len(exo) and exo[next_exo][0] <= frame:
                 exo_frame, kind, payload = exo[next_exo]
@@ -290,8 +308,15 @@ def _synthetic_games(generator: StochasticScript, n_games: int, seed: int):
                 state = apply_event(state, event, catalog)
                 events.append(event)
             state = advance(state, frame, catalog)
-            dist = generator.action_distribution(state)
-            action = select_probabilistic(dist, rng)
+            key = np.asarray(generator.action_distribution(state), dtype=np.float64).tobytes()
+            sums = sums_by_value.get(key)
+            if sums is None:
+                if len(sums_by_value) >= SUMS_CACHE_SIZE:
+                    sums_by_value.clear()
+                # Read back from the key, so that a script reusing its array
+                # cannot change what is kept.
+                sums = sums_by_value[key] = cumulative(np.frombuffer(key))
+            action = pick(sums, u)
             event = GameEvent(frame, EventKind.PRODUCED, action)
             state = apply_event(state, event, catalog)
             events.append(event)

@@ -887,6 +887,17 @@ def test_synth_memory_is_bounded_by_one_game(tmp_path, capsys):
     assert large <= 1.5 * small, (small, large)
 
 
+def test_synth_json_reports_its_own_speed(tmp_path, capsys):
+    capsys.readouterr()
+    assert main(["synth", "--games", "12", "--seed", "3", "--out", str(tmp_path), "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["games"] == 12
+    assert report["seconds"] >= 0 and report["games_per_s"] >= 0
+    assert report["games_per_s"] * report["seconds"] == pytest.approx(12)
+    assert main(["synth", "--games", "12", "--seed", "3", "--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().out == f"wrote 12 games ({report['events']} events) to {tmp_path}\n"
+
+
 def test_synth_without_games_fails_and_writes_nothing(tmp_path, capsys):
     out = tmp_path / "corpus"
     assert main(["synth", "--games", "0", "--out", str(out)]) == 1

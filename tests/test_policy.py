@@ -14,9 +14,11 @@ from macronet.policy import (
     DecisionPolicy,
     Mode,
     apply_exclusions,
+    cumulative,
     decide,
     decide_from_vector,
     default_exclusions,
+    pick,
     select_greedy,
     select_probabilistic,
     uniform_distribution,
@@ -169,6 +171,36 @@ def test_select_probabilistic_matches_the_reference(entries, seed):
 
     with np.errstate(all="ignore"):
         assert outcome(select_probabilistic) == outcome(_select_probabilistic_reference)
+
+
+@settings(max_examples=500, deadline=None)
+@given(entries=st.lists(_ENTRIES, max_size=8), seed=st.integers(0, 2**32 - 1))
+@example(entries=[np.nan], seed=0)  # no class holds positive mass
+@example(entries=[0.0, np.nan], seed=0)
+@example(entries=[np.inf, 1.0], seed=0)
+@example(entries=[0.5, 0.5 - 2**-53, 0.0], seed=3)  # rounding remainder
+def test_sampler_halves_match_select_probabilistic(entries, seed):
+    """pick(cumulative(d), u) with u the generator's next double is
+    select_probabilistic(d, rng): the same class or the same error."""
+    dist = np.array(entries, dtype=np.float64)
+
+    def outcome(select):
+        try:
+            return select()
+        except Exception as e:
+            return type(e), str(e)
+
+    with np.errstate(all="ignore"):
+        halves = outcome(lambda: pick(cumulative(dist), np.random.default_rng(seed).random()))
+        whole = outcome(lambda: select_probabilistic(dist, np.random.default_rng(seed)))
+    assert halves == whole
+
+
+def test_pick_gives_the_remainder_to_the_last_class_with_mass():
+    sums = cumulative(np.array([0.5, 0.25, 0.0]))
+    assert pick(sums, 0.75) == 1
+    assert pick(sums, np.nextafter(1.0, 0.0)) == 1
+    assert pick(sums, 0.0) == 0
 
 
 def test_select_probabilistic_is_reproducible():

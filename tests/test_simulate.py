@@ -1,15 +1,19 @@
 import hashlib
 import io
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from macronet import simulate
-from macronet.events import EventKind, parse_event_log, write_event_log
-from macronet.forward import replay
+from macronet.events import EventKind, EventLog, GameEvent, parse_event_log, write_event_log
+from macronet.forward import advance, apply_event, initial_state, replay
+from macronet.policy import select_probabilistic
 from macronet.simulate import (
     FixedScript,
+    GamePlan,
+    ReactiveScript,
     TwoBranchScript,
     Winner,
     bayes_top1_error,
@@ -140,6 +144,144 @@ def test_reactive_corpus_shape(small_logs):
     for log in small_logs:
         n = log.produced_count()
         assert 70 <= n <= 90
+
+
+def _per_decision_corpus(generator, n_games, seed):
+    """The generator as one select_probabilistic call at each decision, with
+    no kept sums and no batched draws: what the corpus must equal."""
+    catalog = generator.catalog
+    logs = []
+    for i, child in enumerate(np.random.SeedSequence(seed).spawn(n_games)):
+        rng = np.random.default_rng(child)
+        plan = generator.game_plan(rng)
+        exo = simulate._exogenous_queue(plan)
+        next_exo = 0
+        state = initial_state(catalog)
+        events = []
+        frame = 0
+        for period in plan.periods:
+            frame += period
+            while next_exo < len(exo) and exo[next_exo][0] <= frame:
+                exo_frame, kind, payload = exo[next_exo]
+                next_exo += 1
+                state = advance(state, exo_frame, catalog)
+                if kind == 0:
+                    event = GameEvent(exo_frame, EventKind.ENEMY_OBSERVED, payload[0])
+                else:
+                    target = next((c for c in payload if state.own_count[c] > 0), None)
+                    if target is None:
+                        continue
+                    event = GameEvent(exo_frame, EventKind.DESTROYED, target)
+                state = apply_event(state, event, catalog)
+                events.append(event)
+            state = advance(state, frame, catalog)
+            action = select_probabilistic(generator.action_distribution(state), rng)
+            event = GameEvent(frame, EventKind.PRODUCED, action)
+            state = apply_event(state, event, catalog)
+            events.append(event)
+        logs.append(EventLog(game_id=f"synth-{seed}-{i:05d}", events=tuple(events)))
+    return logs
+
+
+class _FrameScript:
+    """A script whose distribution moves with the frame, over wide random
+    periods, so that its distributions hardly ever repeat and the generator
+    keeps more of them than it may hold."""
+
+    def __init__(self, catalog):
+        self.catalog = catalog
+        self._builds = [catalog.build_id(n) for n in ("probe", "zealot", "pylon")]
+
+    def action_distribution(self, state):
+        w = (state.frame * 0.6180339887498949) % 1.0
+        dist = np.zeros(len(self.catalog.builds))
+        dist[self._builds] = (0.5 * w, 0.5 * (1.0 - w), 0.5)
+        return dist
+
+    def game_plan(self, rng):
+        return GamePlan(periods=tuple(int(p) for p in rng.integers(100, 10**6, size=80)))
+
+
+def _generators(catalog):
+    return {
+        "reactive": ReactiveScript(catalog),
+        "two-branch": TwoBranchScript(catalog),
+        "fixed": FixedScript(catalog, ["probe", "pylon", "gateway", "probe", "zealot"]),
+        "frame": _FrameScript(catalog),
+    }
+
+
+@pytest.mark.parametrize("name", ["reactive", "two-branch", "fixed", "frame"])
+@pytest.mark.parametrize("seed", [4, 31])
+def test_corpus_equals_one_draw_per_decision(catalog, name, seed):
+    """Kept cumulative sums and one draw call per game change nothing that is
+    generated, also when the sums are forgotten and made again."""
+    generator = _generators(catalog)[name]
+    n_games = 12 if name == "frame" else 30
+    if name == "frame":
+        assert n_games * 80 > simulate.SUMS_CACHE_SIZE
+    got = generate_synthetic_corpus(generator, n_games, seed=seed)
+    want = _per_decision_corpus(generator, n_games, seed)
+    assert [log.game_id for log in got] == [log.game_id for log in want]
+    assert [log.events for log in got] == [log.events for log in want]
+
+
+def _generated_peak_bytes(generator, n_games):
+    tracemalloc.start()
+    try:
+        for _ in simulate.iter_synthetic_corpus(generator, n_games, seed=6):
+            pass
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_kept_sums_stay_bounded_when_distributions_never_repeat(catalog):
+    generator = _FrameScript(catalog)
+    _generated_peak_bytes(generator, 2)  # warm lazy set-up
+    small = _generated_peak_bytes(generator, 20)
+    large = _generated_peak_bytes(generator, 80)
+    assert large <= 1.5 * small, (small, large)
+
+
+def _eager_reactive_distribution(script, state):
+    """ReactiveScript's cascade with every watched type's pending count taken
+    before the first rule."""
+    own = state.own_count.item
+    starts = [build_id for build_id, _ in state.production]
+    watched = (script._pylon, script._gateway, script._core, script._nexus, script._weapons)
+    pylons, gateways, cores, nexuses, weapons = map(starts.count, watched)
+    if state.supply_left < 8 and pylons == 0:
+        rule = "supply"
+    elif own(script._probe) < 12:
+        rule = "workers"
+    elif own(script._gateway) + gateways == 0:
+        rule = "gateway"
+    elif own(script._core) + cores == 0:
+        rule = "core"
+    elif own(script._probe) >= 24 and own(script._nexus) + nexuses == 1:
+        rule = "expand"
+    elif state.enemy_count.item(script._marine) >= 2:
+        rule = "bio"
+    elif state.enemy_count.item(script._vulture) >= 2:
+        rule = "mech"
+    elif own(script._weapons) + weapons > 0:
+        rule = "upgraded"
+    else:
+        rule = "default"
+    return script._dists[rule]
+
+
+def test_reactive_cascade_counts_pending_starts_only_when_read(catalog):
+    script = ReactiveScript(catalog)
+    decisions = 0
+    for log in generate_synthetic_corpus(script, 50, seed=8):
+        for state, event in replay(log, catalog):
+            if event.kind is EventKind.PRODUCED:
+                decisions += 1
+                want = _eager_reactive_distribution(script, state)
+                assert np.array_equal(script.action_distribution(state), want)
+    assert decisions >= 50 * 70
 
 
 # -- abstract matches -------------------------------------------------------------
