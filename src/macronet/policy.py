@@ -95,8 +95,7 @@ def select_probabilistic(dist: np.ndarray, rng: np.random.Generator) -> int:
     with zero mass are never selected; the float rounding remainder above
     the last cumulative value goes to the highest-index class with positive
     mass."""
-    sums = cumulative(dist)
-    return pick(sums, rng.random())
+    return pick(cumulative(dist), rng.random())
 
 
 def cumulative(dist: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
