@@ -15,7 +15,7 @@ import enum
 import functools
 import hashlib
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from types import MappingProxyType
 
 import numpy as np
@@ -33,14 +33,6 @@ N_ENEMY_TYPES = 33
 # engine's half-units (a worker costs 2): 200 as the game displays it.
 SUPPLY_CAP = 400
 
-_SECTIONS = ("units_buildings", "technologies", "upgrades", "enemy_types")
-_GROUP_SIZES = {
-    "units_buildings": N_UNITS_BUILDINGS,
-    "technologies": N_TECHNOLOGIES,
-    "upgrades": N_UPGRADES,
-    "enemy_types": N_ENEMY_TYPES,
-}
-
 DEFAULT_CATALOG_RESOURCE = "protoss_vs_terran.catalog"
 
 
@@ -48,6 +40,15 @@ class BuildKind(enum.Enum):
     UNIT_OR_BUILDING = "unit_or_building"
     TECHNOLOGY = "technology"
     UPGRADE = "upgrade"
+
+
+# The catalog file's own-build sections in file and id order: name, kind
+# and number of entries. The ``enemy_types`` section follows them.
+OWN_SECTIONS = (
+    ("units_buildings", BuildKind.UNIT_OR_BUILDING, N_UNITS_BUILDINGS),
+    ("technologies", BuildKind.TECHNOLOGY, N_TECHNOLOGIES),
+    ("upgrades", BuildKind.UPGRADE, N_UPGRADES),
+)
 
 
 @dataclass(frozen=True)
@@ -87,21 +88,6 @@ class BuildCatalog:
 
     builds: tuple[BuildSpec, ...]
     enemy_types: tuple[EnemySpec, ...]
-    _build_index: dict[str, int] = field(repr=False, default_factory=dict)
-    _enemy_index: dict[str, int] = field(repr=False, default_factory=dict)
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "_build_index", {b.name: b.id for b in self.builds}
-        )
-        object.__setattr__(
-            self, "_enemy_index", {e.name: e.id for e in self.enemy_types}
-        )
-
-    def __eq__(self, other):
-        if not isinstance(other, BuildCatalog):
-            return NotImplemented
-        return self.builds == other.builds and self.enemy_types == other.enemy_types
 
     # -- lookups ------------------------------------------------------------
 
@@ -112,31 +98,31 @@ class BuildCatalog:
 
     def build_id(self, name: str) -> int:
         try:
-            return self._build_index[name]
+            return self.build_index[name]
         except KeyError:
             raise KeyError(f"unknown build name {name!r}") from None
 
     def enemy_id(self, name: str) -> int:
         try:
-            return self._enemy_index[name]
+            return self.enemy_index[name]
         except KeyError:
             raise KeyError(f"unknown enemy type {name!r}") from None
 
     def has_build(self, name: str) -> bool:
-        return name in self._build_index
+        return name in self.build_index
 
     def has_enemy(self, name: str) -> bool:
-        return name in self._enemy_index
+        return name in self.enemy_index
 
-    @property
+    @functools.cached_property
     def build_index(self) -> MappingProxyType:
-        """Read-only map from own build name to id."""
-        return MappingProxyType(self._build_index)
+        """Read-only map from own build name to id, built on first use."""
+        return MappingProxyType({b.name: b.id for b in self.builds})
 
-    @property
+    @functools.cached_property
     def enemy_index(self) -> MappingProxyType:
-        """Read-only map from enemy type name to id."""
-        return MappingProxyType(self._enemy_index)
+        """Read-only map from enemy type name to id, built on first use."""
+        return MappingProxyType({e.name: e.id for e in self.enemy_types})
 
     # -- derived groups -----------------------------------------------------
 
@@ -151,6 +137,16 @@ class BuildCatalog:
     @property
     def upgrades(self) -> tuple[BuildSpec, ...]:
         return self.builds[N_UNITS_BUILDINGS + N_TECHNOLOGIES :]
+
+    def sections(self) -> list[tuple[str, tuple]]:
+        """The catalog file's sections in file order, as (name, specs) pairs:
+        ``OWN_SECTIONS`` sliced from the builds, then ``enemy_types``."""
+        pairs, start = [], 0
+        for name, _, size in OWN_SECTIONS:
+            pairs.append((name, self.builds[start : start + size]))
+            start += size
+        pairs.append(("enemy_types", self.enemy_types))
+        return pairs
 
     @property
     def worker_id(self) -> int:
@@ -199,7 +195,7 @@ class BuildCatalog:
 # File format
 #
 # UTF-8, line oriented. Four sections, each introduced by a bracketed header:
-#   [units_buildings] / [technologies] / [upgrades] / [enemy_types]
+#   the three of OWN_SECTIONS, then [enemy_types]
 # Own-build entry (one per line):
 #   name, mineral, gas, frames, supply_cost, supply_provided, prereq1|prereq2
 # The prerequisite field may be empty. Enemy entries carry a name only.
@@ -265,27 +261,23 @@ def load_catalog(source) -> BuildCatalog:
     Raises ParseError for malformed syntax (with the line number) and
     SchemaError when a group has the wrong number of entries.
     """
-    sections = read_sections(source, _SECTIONS)
+    sizes = {name: size for name, _, size in OWN_SECTIONS}
+    sizes["enemy_types"] = N_ENEMY_TYPES
+    sections = read_sections(source, sizes)
     if not sections:
         raise ParseError("empty catalog file")
-    for name in _SECTIONS:
+    for name, want in sizes.items():
         if name not in sections:
             raise SchemaError(f"{name}: missing section")
         got = len(sections[name])
-        want = _GROUP_SIZES[name]
         if got != want:
             raise SchemaError(f"{name}: expected {want} entries, got {got}")
 
     # First pass: names and ids, so prerequisites can be resolved in pass two.
-    kinds = (
-        [(BuildKind.UNIT_OR_BUILDING, "units_buildings")]
-        + [(BuildKind.TECHNOLOGY, "technologies")]
-        + [(BuildKind.UPGRADE, "upgrades")]
-    )
     own_rows: list[tuple[int, str, BuildKind, list[str]]] = []
     names: dict[str, int] = {}
     next_id = 0
-    for kind, section in kinds:
+    for section, kind, _ in OWN_SECTIONS:
         for lineno, line in sections[section]:
             fields = [f.strip() for f in line.split(",")]
             if len(fields) not in (6, 7):
@@ -356,20 +348,17 @@ def load_catalog(source) -> BuildCatalog:
 def write_catalog(catalog: BuildCatalog, sink) -> None:
     """Serialize in the canonical form load_catalog parses. Deterministic."""
     lines = []
-    for section, group in (
-        ("units_buildings", catalog.units_buildings),
-        ("technologies", catalog.technologies),
-        ("upgrades", catalog.upgrades),
-    ):
+    for section, specs in catalog.sections():
         lines.append(f"[{section}]\n")
-        for b in group:
-            prereqs = "|".join(catalog.builds[p].name for p in b.prerequisites)
-            lines.append(
-                f"{b.name}, {b.mineral_cost}, {b.gas_cost}, {b.build_frames}, "
-                f"{b.supply_cost}, {b.supply_provided}, {prereqs}\n"
-            )
-    lines.append("[enemy_types]\n")
-    lines += (f"{e.name}\n" for e in catalog.enemy_types)
+        for b in specs:
+            if isinstance(b, EnemySpec):
+                lines.append(f"{b.name}\n")
+            else:
+                prereqs = "|".join(catalog.builds[p].name for p in b.prerequisites)
+                lines.append(
+                    f"{b.name}, {b.mineral_cost}, {b.gas_cost}, {b.build_frames}, "
+                    f"{b.supply_cost}, {b.supply_provided}, {prereqs}\n"
+                )
     write_text(sink, "".join(lines))
 
 

@@ -75,23 +75,18 @@ class NormalizationTable:
 
 
 def _cap_sections(catalog: BuildCatalog, own_caps: np.ndarray, enemy_caps: np.ndarray):
-    """The per-type sections in file order: name, the specs it covers, and
+    """The catalog's sections in file order: name, the specs it covers, and
     the cap vector their ids index."""
-    return (
-        ("units_buildings", catalog.units_buildings, own_caps),
-        ("technologies", catalog.technologies, own_caps),
-        ("upgrades", catalog.upgrades, own_caps),
-        ("enemy_types", catalog.enemy_types, enemy_caps),
-    )
+    *own, enemy = catalog.sections()
+    return [(*section, own_caps) for section in own] + [(*enemy, enemy_caps)]
 
 
 def load_norms(source, catalog: BuildCatalog) -> NormalizationTable:
     """Parse a normalization table and check it covers the whole catalog.
 
-    Format mirrors the catalog file: sections ``[units_buildings]``,
-    ``[technologies]``, ``[upgrades]``, ``[enemy_types]`` with ``name, cap``
-    lines. Each section appears at most once, and every cap is finite and
-    positive. Supply has no section: its cap is ``catalog.SUPPLY_CAP``.
+    Format mirrors the catalog file: its sections, in its order, with
+    ``name, cap`` lines. Each section appears at most once, and every cap is
+    finite and positive. Supply has no section: its cap is ``catalog.SUPPLY_CAP``.
     """
     own_caps = np.zeros(N_OWN_BUILDS, dtype=np.float64)
     enemy_caps = np.zeros(N_ENEMY_TYPES, dtype=np.float64)

@@ -9,6 +9,7 @@ opponent features.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -101,16 +102,20 @@ def select_probabilistic(dist: np.ndarray, rng: np.random.Generator) -> int:
 def cumulative(dist: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """First half of ``select_probabilistic``: the distribution as float64
     and its cumulative sums, for ``pick``. Raises ValueError for a negative
-    entry and DegenerateDistributionError for no mass (empty or all zero).
-    Depends on the entries' values alone, so a caller drawing often from a
-    few fixed distributions may keep the result for each."""
+    entry and DegenerateDistributionError for a total that is NaN or
+    infinite or for no mass (empty or all zero). Depends on the entries'
+    values alone, so a caller drawing often from a few fixed distributions
+    may keep the result for each."""
     dist = np.asarray(dist, dtype=np.float64)
     if (dist < 0.0).any():
         raise ValueError("distribution has negative entries")
     cdf = dist.cumsum()
-    # With no negative entry, the last cumulative value is zero only when
-    # every entry is, and NaN exactly when the sum is.
-    if not cdf.size or cdf[-1] <= 0.0:
+    # With no negative entry, the last cumulative value is the total: zero
+    # only when every entry is, NaN or infinite exactly when the sum is.
+    total = float(cdf[-1]) if cdf.size else 0.0
+    if not math.isfinite(total):
+        raise DegenerateDistributionError(f"distribution total is not finite: {total}")
+    if total <= 0.0:
         raise DegenerateDistributionError("distribution has no mass")
     return dist, cdf
 

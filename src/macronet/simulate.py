@@ -43,10 +43,6 @@ class GamePlan:
     observations: tuple[tuple[int, int], ...] = ()  # (frame, enemy_id)
     destructions: tuple[tuple[int, tuple[int, ...]], ...] = ()  # (frame, candidates)
 
-    @property
-    def n_decisions(self) -> int:
-        return len(self.periods)
-
 
 class StochasticScript(Protocol):
     """A replay generator with a known conditional action distribution.
@@ -65,13 +61,15 @@ class StochasticScript(Protocol):
     def game_plan(self, rng: np.random.Generator) -> GamePlan: ...
 
 
+SCRIPT_PERIOD = 150  # frames between a fixed or two-branch script's decisions
+
+
 class FixedScript:
     """Plays a fixed build sequence: the k-th decision is the k-th name."""
 
-    def __init__(self, catalog: BuildCatalog, names, period: int = 150):
+    def __init__(self, catalog: BuildCatalog, names):
         self.catalog = catalog
         self.sequence = tuple(catalog.build_id(n) for n in names)
-        self.period = period
 
     def action_distribution(self, state: MacroState) -> np.ndarray:
         produced = int(state.own_count.sum()) + len(state.production)
@@ -83,14 +81,14 @@ class FixedScript:
         return dist
 
     def game_plan(self, rng: np.random.Generator) -> GamePlan:
-        return GamePlan(periods=(self.period,) * len(self.sequence))
+        return GamePlan(periods=(SCRIPT_PERIOD,) * len(self.sequence))
 
 
 DEFAULT_P_FIRST = 0.7  # TwoBranchScript's chance of its first building
 
 
 class TwoBranchScript:
-    """First decision picks one of two buildings with probability p / 1-p;
+    """First decision picks a gateway with probability p, else a forge;
     every later decision is determined by which branch is visible in the
     state. The simplest generator with a nontrivial Bayes error."""
 
@@ -98,16 +96,14 @@ class TwoBranchScript:
         self,
         catalog: BuildCatalog,
         p_first: float = DEFAULT_P_FIRST,
-        first: str = "gateway",
-        second: str = "forge",
         n_decisions: int = 6,
     ):
         if not 0.0 < p_first < 1.0:
             raise ValueError("p_first must be in (0, 1)")
         self.catalog = catalog
         self.p_first = p_first
-        self.first = catalog.build_id(first)
-        self.second = catalog.build_id(second)
+        self.first = catalog.build_id("gateway")
+        self.second = catalog.build_id("forge")
         self.follow_first = catalog.worker_id
         self.follow_second = catalog.build_id("pylon")
         self.n_decisions = n_decisions
@@ -124,7 +120,7 @@ class TwoBranchScript:
         return dist
 
     def game_plan(self, rng: np.random.Generator) -> GamePlan:
-        return GamePlan(periods=(150,) * self.n_decisions)
+        return GamePlan(periods=(SCRIPT_PERIOD,) * self.n_decisions)
 
 
 class ReactiveScript:
@@ -424,11 +420,10 @@ def worker_only_player(catalog: BuildCatalog) -> ScriptedPlayer:
     return ScriptedPlayer(name="worker-only", catalog=catalog, rule=rule)
 
 
-def worker_then_army_player(
-    catalog: BuildCatalog, target_workers: int = 16
-) -> ScriptedPlayer:
-    """Saturates the economy, then streams army units. The reference opponent
-    for sanity checks: any policy that never fields an army loses to it."""
+def worker_then_army_player(catalog: BuildCatalog) -> ScriptedPlayer:
+    """Saturates the economy at 16 workers, then streams army units. The
+    reference opponent for sanity checks: any policy that never fields an
+    army loses to it."""
     worker = catalog.worker_id
     pylon = catalog.build_id("pylon")
     gateway = catalog.build_id("gateway")
@@ -437,7 +432,7 @@ def worker_then_army_player(
     def rule(state, cat, rng):
         if state.supply_left < 6 and not _provider_in_production(state, cat):
             return pylon
-        if state.own_count[worker] < target_workers:
+        if state.own_count[worker] < 16:
             return worker
         if state.total_count(gateway) == 0:
             return gateway

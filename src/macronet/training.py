@@ -211,8 +211,8 @@ def baseline_uniform_random(
     return topk_errors_from_probs(scores, y, ks)
 
 
-def uniform_random_error(k: int, n_classes: int = N_CLASSES) -> float:
-    return 1.0 - k / n_classes
+def uniform_random_error(k: int) -> float:
+    return 1.0 - k / N_CLASSES
 
 
 # ---------------------------------------------------------------------------

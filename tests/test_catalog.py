@@ -3,6 +3,7 @@ import io
 import pytest
 
 from macronet.catalog import (
+    OWN_SECTIONS,
     BuildKind,
     load_catalog,
     load_default_catalog,
@@ -78,6 +79,39 @@ def test_round_trip_preserves_catalog(catalog):
     again = load_catalog(buf)
     assert again == catalog
     assert again.content_hash() == catalog.content_hash()
+
+
+def test_cached_lookups_stay_out_of_identity():
+    """Reading the cached maps, vectors and hash leaves a catalog equal to,
+    printed like and hashed like a fresh load of its own file, and the
+    cached name maps stay read-only."""
+    used = load_default_catalog()
+    used.build_id("zealot")
+    build_index, enemy_index = used.build_index, used.enemy_index
+    used.vectors
+    used.content_hash()
+    fresh = load_catalog(io.StringIO(_catalog_text(used)))
+    assert used == fresh
+    assert repr(used) == repr(fresh)
+    assert hash(used) == hash(fresh)
+    for index in (build_index, enemy_index):
+        with pytest.raises(TypeError):
+            index["zealot"] = 0
+
+
+def test_sections_follow_the_table(catalog):
+    names = [name for name, _, _ in OWN_SECTIONS] + ["enemy_types"]
+    assert [name for name, _ in catalog.sections()] == names
+    own = catalog.sections()[:-1]
+    assert [specs for _, specs in own] == [
+        catalog.units_buildings,
+        catalog.technologies,
+        catalog.upgrades,
+    ]
+    for (_, kind, size), (_, specs) in zip(OWN_SECTIONS, own):
+        assert len(specs) == size
+        assert {spec.kind for spec in specs} == {kind}
+    assert catalog.sections()[-1][1] == catalog.enemy_types
 
 
 def test_content_hash_stable_across_loads(catalog):

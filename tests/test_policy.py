@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -132,12 +134,16 @@ def test_select_probabilistic_validates():
 
 def _select_probabilistic_reference(dist, rng):
     """select_probabilistic written with numpy's function wrappers and a
-    separate sum for the no-mass test: for the same draws it must give the
-    same class, and for the same inputs the same error."""
+    separate left-to-right sum for the total's tests: for the same draws it
+    must give the same class, and for the same inputs the same error."""
     dist = np.asarray(dist, dtype=np.float64)
     if (dist < 0.0).any():
         raise ValueError("distribution has negative entries")
-    total = float(dist.sum())
+    total = 0.0
+    for entry in dist.tolist():
+        total += entry
+    if not math.isfinite(total):
+        raise DegenerateDistributionError(f"distribution total is not finite: {total}")
     if total <= 0.0:
         raise DegenerateDistributionError("distribution has no mass")
     cdf = np.cumsum(dist)
@@ -194,6 +200,31 @@ def test_sampler_halves_match_select_probabilistic(entries, seed):
         halves = outcome(lambda: pick(cumulative(dist), np.random.default_rng(seed).random()))
         whole = outcome(lambda: select_probabilistic(dist, np.random.default_rng(seed)))
     assert halves == whole
+
+
+@pytest.mark.parametrize(
+    "entries, total",
+    [
+        ([np.nan], "nan"),
+        ([0.2, np.nan, 0.3], "nan"),
+        ([np.inf, 1.0], "inf"),
+        ([1e308, 1e308, 0.0], "inf"),  # finite entries whose sum overflows
+    ],
+)
+def test_a_total_that_is_not_finite_is_refused(entries, total):
+    message = f"distribution total is not finite: {total}"
+    rng = np.random.default_rng(0)
+    with np.errstate(over="ignore"):
+        with pytest.raises(DegenerateDistributionError, match=message):
+            cumulative(np.array(entries))
+        with pytest.raises(DegenerateDistributionError, match=message):
+            select_probabilistic(np.array(entries), rng)
+
+
+@pytest.mark.parametrize("entries", [[], [0.0], [0.0, -0.0, 0.0]])
+def test_no_mass_is_refused_as_before(entries):
+    with pytest.raises(DegenerateDistributionError, match="^distribution has no mass$"):
+        cumulative(np.array(entries))
 
 
 def test_pick_gives_the_remainder_to_the_last_class_with_mass():

@@ -5,6 +5,7 @@ import socket
 import struct
 import threading
 import time
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -374,6 +375,20 @@ def test_degenerate_exclusions_reported(server, catalog, norms):
         timeout=1.0,
     )
     assert response["error"]["kind"] == "degenerate-distribution"
+
+
+def test_a_nan_distribution_is_refused_not_sampled(service_net, catalog, norms):
+    """A network whose outputs are NaN gives a distribution with a NaN
+    total, which a probabilistic request refuses instead of drawing from."""
+    nan_net = replace(service_net, params=np.full_like(service_net.params, np.nan))
+    with PredictionServer(nan_net, catalog, norms, seed=0) as srv:
+        response = client_predict(
+            srv.server_address,
+            {"vector": initial_vector(catalog, norms), "policy": {"mode": "probabilistic"}},
+            timeout=1.0,
+        )
+    assert response["error"]["kind"] == "degenerate-distribution"
+    assert "not finite" in response["error"]["message"]
 
 
 def test_server_rejects_mismatched_model(catalog, norms):
