@@ -236,13 +236,12 @@ FULL_MASK = FeatureGroupMask()
 
 
 def parse_mask(label: str) -> FeatureGroupMask:
-    """Parse the compact group grammar, e.g. ``a+b+c+d+e`` or ``a+d``."""
+    """Parse the compact group grammar, e.g. ``a+b+c+d+e`` or ``a+d``.
+    FeatureGroupMask refuses a mask without group a."""
     groups = {g.strip() for g in label.split("+") if g.strip()}
     unknown = groups - set(GROUP_SLICES)
     if unknown:
         raise ValueError(f"unknown feature groups {sorted(unknown)} in {label!r}")
-    if "a" not in groups:
-        raise ValueError("mask must include group a (own material)")
     return FeatureGroupMask("".join(g for g in GROUP_SLICES if g in groups))
 
 

@@ -36,7 +36,9 @@ class CompatibilityError(MacronetError):
 
 
 class DegenerateDistributionError(MacronetError):
-    """An exclusion set that removes (essentially) all probability mass."""
+    """A distribution no decision can be drawn from: a network output that is
+    not finite, a distribution whose total is not finite or is zero, or an
+    exclusion set that removes (essentially) all probability mass."""
 
 
 class ProtocolError(MacronetError):

@@ -39,7 +39,7 @@ from .encoding import (
     apply_mask,
     write_str,
 )
-from .errors import CompatibilityError, FormatError
+from .errors import CompatibilityError, DegenerateDistributionError, FormatError
 
 DEFAULT_LAYER_SIZES = (210, 128, 128, 128, 128, 58)
 
@@ -186,8 +186,21 @@ def _check_input(net: Network, X: np.ndarray, in_place: bool = False) -> np.ndar
     return apply_mask(X, net.meta.mask, in_place=in_place)
 
 
+def _finite_output(net: Network, X: np.ndarray) -> np.ndarray:
+    """The probabilities of the checked input X, or DegenerateDistributionError
+    when any is not finite. Softmax entries lie in [0, 1] or are NaN, since
+    an overflow gives NaN and never inf, so their sum is finite exactly when
+    every entry is."""
+    for probs in _forward_layers(net, X):
+        pass
+    if not math.isfinite(probs.sum()):
+        raise DegenerateDistributionError("network output is not finite")
+    return probs
+
+
 def forward(net: Network, x: np.ndarray) -> np.ndarray:
-    """Class distribution for one input vector. Non-negative, sums to 1.
+    """Class distribution for one input vector: non-negative, sums to 1.
+    Raises DegenerateDistributionError when it is not finite.
 
     The layers run on the 1-D vector itself, not on a batch of one. Its bits
     equal those of forward_batch on the one-row batch x[None], not those of
@@ -196,20 +209,17 @@ def forward(net: Network, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x)
     if x.ndim != 1:
         raise ValueError(f"forward expects a single vector, got shape {x.shape}")
-    for a in _forward_layers(net, _check_input(net, x)):
-        pass
-    return a
+    return _finite_output(net, _check_input(net, x))
 
 
 def forward_batch(net: Network, X: np.ndarray) -> np.ndarray:
     """Class distributions for a (n, features) batch, computed one layer at
-    a time: besides X, it holds at most one layer's input and output."""
+    a time: besides X, it holds at most one layer's input and output. Raises
+    DegenerateDistributionError when any row's output is not finite."""
     X = _check_input(net, X)
     if X.ndim != 2:
         raise ValueError(f"forward_batch expects (n, features), got shape {X.shape}")
-    for a in _forward_layers(net, X):
-        pass
-    return a
+    return _finite_output(net, X)
 
 
 def loss(dist: np.ndarray, target_class: int) -> float:

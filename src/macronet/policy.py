@@ -157,7 +157,9 @@ def decide_from_vector(
     """Chosen class and the post-exclusion distribution for one encoded
     state. Blind policies zero the opponent features before the forward
     pass; Mode.RANDOM ignores the network's output and draws uniformly over
-    the non-excluded classes."""
+    the non-excluded classes. Raises DegenerateDistributionError when the
+    network's output is not finite (see net.forward) or the exclusions leave
+    no mass."""
     if rng is None:
         rng = np.random.default_rng(policy.seed)
     if policy.blind:

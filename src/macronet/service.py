@@ -29,7 +29,6 @@ from __future__ import annotations
 import contextlib
 import itertools
 import json
-import math
 import selectors
 import socket
 import struct
@@ -55,8 +54,6 @@ _RECV_BYTES = 1 << 16
 # rather than autotuned, so a client that does not read its replies has at
 # most this much sent to it before the server stops reading its requests.
 SEND_BUFFER_BYTES = 1 << 16
-# json.dumps's spellings of the floats whose repr is not JSON.
-_NON_FINITE_JSON = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
 def write_frame(stream, payload: bytes) -> None:
@@ -235,11 +232,10 @@ class PredictionServer:
         self.policy = policy
         self.seed = seed
         self.model_version = net.model_version()
-        # The reply's fixed JSON: each build's name and key, the model version.
+        # The reply's fixed JSON: each build's name, the model version.
         self._names_json = [json.dumps(spec.name) for spec in catalog.builds]
-        self._keys_json = [name + ": " for name in self._names_json]
         self._distribution_template = ", ".join(
-            key.replace("%", "%%") + "%r" for key in self._keys_json
+            name.replace("%", "%%") + ": %r" for name in self._names_json
         )
         self._version_json = json.dumps(self.model_version)
         self.socket = socket.create_server(address, backlog=MAX_CONNECTIONS)
@@ -299,17 +295,11 @@ class PredictionServer:
 
     def _reply(self, request_id: str, index: int, dist: np.ndarray, latency: int) -> bytes:
         """json.dumps of a decision's reply body, joined from the text encoded
-        at start-up and each probability's repr, as json spells a float. The
-        distribution fills one %r template of the keys, built at start-up.
-        When the probabilities' sum is not finite, as it is not when one of
-        them is NaN or infinite, they are joined one at a time instead, with
-        json's NaN, Infinity and -Infinity for repr's nan, inf and -inf."""
-        probs = dist.tolist()
-        if math.isfinite(sum(probs)):
-            distribution = self._distribution_template % tuple(probs)
-        else:
-            probs = [_NON_FINITE_JSON.get(p, p) for p in map(repr, probs)]
-            distribution = ", ".join(map(str.__add__, self._keys_json, probs))
+        at start-up and each probability's repr, as json spells a finite
+        float. The distribution fills one %r template of the keys, built at
+        start-up. Its probabilities are finite: net.forward refuses an output
+        that is not, and exclusions rescale by at most 1e12."""
+        distribution = self._distribution_template % tuple(dist.tolist())
         return (
             f'{{"request_id": {json.dumps(request_id)}, '
             f'"build": {{"name": {self._names_json[index]}, "index": {index}}}, '

@@ -170,22 +170,20 @@ def topk_errors_from_probs(
     return {k: float((ranks >= k).mean()) for k in ks}
 
 
-def evaluate_topk(
-    net: Network, dataset: Dataset, ks=DEFAULT_TOP_KS
-) -> dict[int, float]:
-    """Top-k error rates on a dataset encoded with the model's catalog and
-    normalization table."""
+def evaluate_topk(net: Network, dataset: Dataset) -> dict[int, float]:
+    """Top-k error rates, for each k of DEFAULT_TOP_KS, on a dataset encoded
+    with the model's catalog and normalization table. Raises
+    DegenerateDistributionError when the network's output on any row is not
+    finite, rather than rank it."""
     check_compatibility(net, dataset.catalog_hash, dataset.norms_hash)
     if dataset.n_pairs == 0:
         raise ValueError("cannot evaluate on an empty dataset")
     X, y = dataset.stacked()
     probs = forward_batch(net, X)
-    return topk_errors_from_probs(probs, y, ks)
+    return topk_errors_from_probs(probs, y)
 
 
-def baseline_most_frequent(
-    train_set: Dataset, test_set: Dataset, ks=DEFAULT_TOP_KS
-) -> dict[int, float]:
+def baseline_most_frequent(train_set: Dataset, test_set: Dataset) -> dict[int, float]:
     """Predict the most frequent training action for every state.
 
     A single-guess predictor is wrong whenever the label differs, at every k,
@@ -195,12 +193,10 @@ def baseline_most_frequent(
     if len(y) == 0:
         raise ValueError("cannot evaluate on an empty dataset")
     err = float((y != int(counts.argmax())).mean())
-    return {k: err for k in ks}
+    return {k: err for k in DEFAULT_TOP_KS}
 
 
-def baseline_uniform_random(
-    test_set: Dataset, ks=DEFAULT_TOP_KS, seed: int = 0
-) -> dict[int, float]:
+def baseline_uniform_random(test_set: Dataset, seed: int = 0) -> dict[int, float]:
     """Rank the classes uniformly at random for each state. The expected
     top-k error is 1 - k/58."""
     _, y = test_set.stacked()
@@ -208,7 +204,7 @@ def baseline_uniform_random(
         raise ValueError("cannot evaluate on an empty dataset")
     rng = np.random.default_rng(seed)
     scores = rng.random((len(y), N_CLASSES))
-    return topk_errors_from_probs(scores, y, ks)
+    return topk_errors_from_probs(scores, y)
 
 
 def uniform_random_error(k: int) -> float:
@@ -252,7 +248,6 @@ def run_ablation_grid(
     base_config: TrainConfig = TrainConfig(),
     repeats: int = DEFAULT_REPEATS,
     fraction: float = DEFAULT_SPLIT_FRACTION,
-    ks=DEFAULT_TOP_KS,
 ) -> AblationReport:
     """Train each masked variant `repeats` times on a fixed game-level split,
     seeding run i with base_config.seed + i, and report mean and sample
@@ -266,13 +261,13 @@ def run_ablation_grid(
         for i in range(repeats):
             config = replace(base_config, mask=mask, seed=base_config.seed + i)
             net, history = train(train_set, config)
-            runs.append(evaluate_topk(net, test_set, ks))
+            runs.append(evaluate_topk(net, test_set))
             seconds.append(tuple(h.seconds for h in history))
         rows.append(
             AblationRow(label=mask.label(), runs=tuple(runs), epoch_seconds=tuple(seconds))
         )
     return AblationReport(
-        rows=tuple(rows), ks=tuple(ks), repeats=repeats, train_pairs=train_set.n_pairs
+        rows=tuple(rows), ks=DEFAULT_TOP_KS, repeats=repeats, train_pairs=train_set.n_pairs
     )
 
 

@@ -9,9 +9,12 @@ needs a realistic trained model.
 # macronet first: importing it sets OPENBLAS_NUM_THREADS=1 unless a thread
 # count is already set, which OpenBLAS reads only when numpy loads.
 import macronet as mn  # isort: skip
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from macronet.net import ModelMeta, init_network
 from macronet.simulate import ReactiveScript
 from macronet.training import TrainConfig, split_dataset, train
 
@@ -80,6 +83,16 @@ def small_model(small_dataset):
     its outputs are meaningful but nothing rides on its accuracy."""
     model, _ = train(small_dataset, TrainConfig(epochs=3, seed=1))
     return model
+
+
+@pytest.fixture(scope="session")
+def overflowing_model(catalog, norms):
+    """A model that load_model accepts and that fits the default pipeline,
+    but whose output is not finite: its parameters, Xavier's times 1e300, are
+    finite, yet the first layer's matmul overflows and softmax gives NaN."""
+    meta = ModelMeta(catalog_hash=catalog.content_hash(), norms_hash=norms.content_hash())
+    net = init_network(seed=0, meta=meta)
+    return replace(net, params=net.params * 1e300)
 
 
 @pytest.fixture()

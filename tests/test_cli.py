@@ -276,6 +276,34 @@ def test_model_of_the_wrong_shape_is_refused(pipeline, tmp_path, capsys, command
     assert len(err.splitlines()) == 1
 
 
+@pytest.mark.filterwarnings(
+    "ignore:overflow encountered:RuntimeWarning",
+    "ignore:invalid value encountered:RuntimeWarning",
+)
+@pytest.mark.parametrize(
+    "command,flags",
+    [("eval", []), ("analyze", []), ("analyze", ["--json"]), ("simulate", [])],
+    ids=["eval", "analyze", "analyze-json", "simulate"],
+)
+def test_a_model_whose_output_is_not_finite_is_refused(
+    pipeline, overflowing_model, tmp_path, capsys, command, flags
+):
+    """A model whose finite parameters overflow to a NaN output fails with an
+    error line, where eval would rank NaN (0.00% error at every k) and
+    analyze average it."""
+    model = tmp_path / "overflowing.mnnet"
+    with open(model, "wb") as f:
+        save_model(overflowing_model, f)
+    if command == "simulate":
+        argv = [command, "--a", str(model), "--b", "worker-only", "--matches", "1"]
+    else:
+        argv = [command, "--dataset", str(pipeline["dataset"]), "--model", str(model)]
+    if command == "analyze":
+        argv += ["--out", str(tmp_path / "curve.csv")]
+    assert main(argv + flags) == 1
+    assert capsys.readouterr().err.splitlines()[-1] == "error: network output is not finite"
+
+
 def test_analyze_refuses_norms_other_than_the_models(pipeline, tmp_path, capsys):
     catalog = load_default_catalog()
     norms = encoding.load_default_norms(catalog)

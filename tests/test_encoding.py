@@ -151,10 +151,15 @@ def test_mask_labels_and_parse_round_trip():
 
 
 def test_mask_a_cannot_be_removed():
+    """FeatureGroupMask alone states the rule, so a parsed label and a
+    constructed mask are refused with the same message."""
     with pytest.raises(ValueError):
         FeatureGroupMask("bcde")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as parsed:
         parse_mask("b+c")
+    with pytest.raises(ValueError) as built:
+        FeatureGroupMask("bc")
+    assert str(parsed.value) == str(built.value)
 
 
 def test_parse_mask_rejects_junk():

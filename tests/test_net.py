@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from blas_threads import outputs_at_one_and_two_threads
 from gradcheck import backward, finite_difference_gradients
 from macronet.encoding import FeatureGroupMask, apply_mask, parse_mask
-from macronet.errors import CompatibilityError, FormatError
+from macronet.errors import CompatibilityError, DegenerateDistributionError, FormatError
 from macronet.net import (
     ADAM_BETA1,
     ADAM_BETA2,
@@ -154,6 +154,23 @@ def test_softmax_handles_large_logits():
     dist = forward(big, np.ones(4))
     assert np.isfinite(dist).all()
     assert float(dist.sum()) == pytest.approx(1.0)
+
+
+def test_an_output_that_is_not_finite_is_refused(overflowing_model):
+    """Finite parameters can still overflow. forward and forward_batch
+    refuse the NaN output instead of returning it, for a batch when any one
+    row's output is not finite; an all-zero input reads no weight, so its
+    output stays uniform."""
+    buf = io.BytesIO()
+    save_model(overflowing_model, buf)
+    net = load_model(io.BytesIO(buf.getvalue()))
+    zeros, halves = np.zeros(210), np.full(210, 0.5)
+    assert np.array_equal(forward(net, zeros), np.full(58, 1 / 58))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(DegenerateDistributionError, match="^network output is not finite$"):
+            forward(net, halves)
+        with pytest.raises(DegenerateDistributionError, match="^network output is not finite$"):
+            forward_batch(net, np.stack([zeros, halves, zeros]))
 
 
 def test_loss_at_zero_weights_is_log_n():

@@ -287,19 +287,20 @@ def test_arbitrary_json_never_gets_an_internal_error(unstarted_server, body, pol
 
 @settings(max_examples=300, deadline=None)
 @given(
-    probs=st.lists(st.floats(), min_size=58, max_size=58),
+    probs=st.lists(
+        st.floats(allow_nan=False, allow_infinity=False), min_size=58, max_size=58
+    ),
     request_id=st.text(),
     index=st.integers(0, 57),
     latency=st.integers(0, 2**63),
 )
-@example(probs=[float("nan"), float("inf"), -float("inf"), -0.0] + [1e-300] * 54,
+@example(probs=[1e308, 1e308, -1e308, -0.0] + [1e-300] * 54,
          request_id='"\u2028\\', index=0, latency=0)
-@example(probs=[0.5, float("nan"), 0.25, float("inf"), -float("inf")] + [0.125] * 53,
-         request_id="r", index=57, latency=1)
 @example(probs=[0.0, 1.0, 5e-324] + [2.0**-60] * 55, request_id="", index=2, latency=0)
 def test_reply_bytes_equal_json_dumps(unstarted_server, catalog, probs, request_id, index, latency):
     """The reply joined from precomputed text is, byte for byte, json.dumps
-    of the reply body as a dict, non-finite probabilities included."""
+    of the reply body as a dict, for any finite probabilities: net.forward
+    refuses an output that is not finite, so no other reaches the reply."""
     body = {
         "request_id": request_id,
         "build": {"name": catalog.build(index).name, "index": index},
@@ -389,6 +390,50 @@ def test_a_nan_distribution_is_refused_not_sampled(service_net, catalog, norms):
         )
     assert response["error"]["kind"] == "degenerate-distribution"
     assert "not finite" in response["error"]["message"]
+
+
+def _strict_json(payload: bytes):
+    """json.loads that refuses NaN, Infinity and -Infinity, which JSON lacks."""
+
+    def refuse(literal):
+        raise ValueError(f"{literal} is not JSON")
+
+    return json.loads(payload, parse_constant=refuse)
+
+
+@pytest.mark.filterwarnings(
+    "ignore:overflow encountered:RuntimeWarning",
+    "ignore:invalid value encountered:RuntimeWarning",
+)
+def test_an_overflowing_model_is_refused_in_every_mode_that_reads_it(
+    overflowing_model, catalog, norms
+):
+    """A model with finite parameters whose output overflows to NaN: each
+    request that reads the network gets degenerate-distribution, a random
+    one, which does not, is answered, and every reply is strict JSON."""
+    policies = [
+        {"mode": mode, "blind": blind}
+        for mode in ("greedy", "probabilistic")
+        for blind in (False, True)
+    ]
+    policies.append({"mode": "random"})
+    vector = initial_vector(catalog, norms)
+    replies = []
+    with PredictionServer(overflowing_model, catalog, norms, seed=0) as srv:
+        with socket.create_connection(srv.server_address, timeout=5.0) as sock:
+            with sock.makefile("rwb") as stream:
+                for i, policy in enumerate(policies):
+                    request = {"request_id": f"r{i}", "vector": vector, "policy": policy}
+                    write_frame(stream, json.dumps(request).encode("utf-8"))
+                    replies.append(_strict_json(read_frame(stream)))
+    *refused, answered = replies
+    for reply in refused:
+        assert reply["error"] == {
+            "kind": "degenerate-distribution",
+            "message": "network output is not finite",
+        }
+    assert "error" not in answered
+    assert sum(answered["distribution"].values()) == pytest.approx(1.0)
 
 
 def test_server_rejects_mismatched_model(catalog, norms):
